@@ -55,6 +55,7 @@ ended ``error`` or ``timeout``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import List, Optional
@@ -75,8 +76,9 @@ from repro.lint.findings import SCHEMA as LINT_SCHEMA
 from repro.lint.sanitize import sanitize
 from repro.lint.findings import SEVERITIES
 from repro.obs import (
+    EventLog,
     MetricsRegistry,
-    Tracer,
+    bind_request,
     collect_metrics,
     metrics_to_json,
     validate_metrics,
@@ -105,8 +107,8 @@ def _expand_cli_inputs(paths: List[str]) -> List[str]:
     return expand_inputs(paths, allow_missing=True, stdin_token="-")
 
 
-#: Algorithms whose drivers accept ``registry``/``tracer`` plumbing
-#: and whose results carry LC' statistics for the metrics document.
+#: Algorithms whose drivers accept ``registry`` plumbing and whose
+#: results carry LC' statistics for the metrics document.
 _INSTRUMENTED_ALGORITHMS = ("subtransitive", "hybrid", "polyvariant")
 
 
@@ -117,21 +119,28 @@ _INSTRUMENTED_ALGORITHMS = ("subtransitive", "hybrid", "polyvariant")
 # (and its failure surface) in one place.
 
 
-def _make_tracer(args) -> Optional[Tracer]:
-    """A tracer bound to ``--trace PATH``, or None when not asked."""
+@contextlib.contextmanager
+def _traced(args):
+    """Bind an engine-event log whose sink is ``--trace PATH`` for the
+    extent of the ``with`` (a no-op when not asked), then close the
+    log and announce the sink on stderr."""
     path = getattr(args, "trace", None)
-    return Tracer(sink=path) if path else None
-
-
-def _finish_tracer(tracer: Optional[Tracer], path: Optional[str]) -> None:
-    """Flush/close a tracer and announce the sink on stderr."""
-    if tracer is None:
+    if not path:
+        yield
         return
-    tracer.close()
-    print(
-        f"wrote trace to {path} ({tracer.event_count} events)",
-        file=sys.stderr,
-    )
+    # A trace is one whole run: start the file afresh and never
+    # rotate it, so its seq numbers run 0..N-1 without gaps.
+    open(path, "w", encoding="utf-8").close()
+    log = EventLog(sink_path=path, sink_bytes=None, engine_events=True)
+    try:
+        with bind_request(log=log):
+            yield
+    finally:
+        log.close()
+        print(
+            f"wrote trace to {path} ({log.emitted} events)",
+            file=sys.stderr,
+        )
 
 
 def _write_metrics(path: str, document) -> None:
@@ -270,7 +279,6 @@ def _cmd_analyze(args) -> int:
         return _cmd_analyze_many(args, paths)
     args.file = paths[0]
     program = _read_program(args.file)
-    tracer = None
     kwargs = {}
     backend = getattr(args, "graph_backend", "object")
     if backend != "object":
@@ -290,50 +298,45 @@ def _cmd_analyze(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        tracer = _make_tracer(args)
-        if tracer is not None:
-            kwargs["tracer"] = tracer
     status = 0
-    try:
+    with _traced(args):
         cfa = repro.analyze(program, algorithm=args.algorithm, **kwargs)
-        audit = None
-        if args.audit:
-            from repro.flow.audit import audit_section
+    audit = None
+    if args.audit:
+        from repro.flow.audit import audit_section
 
-            audit = audit_section(program, cfa)
-        if args.json:
-            if audit is not None:
-                document = result_to_dict(cfa)
-                document["audit"] = audit
-                print(json.dumps(document, indent=2, sort_keys=True))
-            else:
-                print(result_to_json(cfa))
+        audit = audit_section(program, cfa)
+    if args.json:
+        if audit is not None:
+            document = result_to_dict(cfa)
+            document["audit"] = audit
+            print(json.dumps(document, indent=2, sort_keys=True))
         else:
-            table = Table(["site", "source", "may call"])
-            for site in program.applications:
-                table.add_row(
-                    site.nid,
-                    pretty(site, show_labels=False),
-                    ", ".join(sorted(cfa.may_call(site))) or "-",
-                )
-            print(table.render())
-            stats = getattr(cfa, "stats", None)
-            if stats is not None:
-                print(
-                    f"\ngraph: {stats.build_nodes} build + "
-                    f"{stats.close_nodes} close nodes, "
-                    f"{stats.total_edges} edges"
-                )
-            if audit is not None:
-                print(f"audit: {_audit_verdict(audit)}", file=sys.stderr)
-        if args.sanitize:
-            status = _sanitize_result(cfa, args.file)
-        if args.metrics:
-            # Collected after the queries above so the document's
-            # query section reflects the work this invocation did.
-            _write_metrics(args.metrics, collect_metrics(cfa))
-    finally:
-        _finish_tracer(tracer, args.trace)
+            print(result_to_json(cfa))
+    else:
+        table = Table(["site", "source", "may call"])
+        for site in program.applications:
+            table.add_row(
+                site.nid,
+                pretty(site, show_labels=False),
+                ", ".join(sorted(cfa.may_call(site))) or "-",
+            )
+        print(table.render())
+        stats = getattr(cfa, "stats", None)
+        if stats is not None:
+            print(
+                f"\ngraph: {stats.build_nodes} build + "
+                f"{stats.close_nodes} close nodes, "
+                f"{stats.total_edges} edges"
+            )
+        if audit is not None:
+            print(f"audit: {_audit_verdict(audit)}", file=sys.stderr)
+    if args.sanitize:
+        status = _sanitize_result(cfa, args.file)
+    if args.metrics:
+        # Collected after the queries above so the document's
+        # query section reflects the work this invocation did.
+        _write_metrics(args.metrics, collect_metrics(cfa))
     return status
 
 
@@ -526,9 +529,8 @@ def _cmd_lint(args) -> int:
     fallback_reasons = []
     totals = {"findings": 0, "by_rule": {}}
     for path in args.files:
-        tracer = _make_tracer(args)
         try:
-            try:
+            with _traced(args):
                 program = _read_program(path)
                 registry = MetricsRegistry()
                 backend = getattr(args, "graph_backend", "object")
@@ -536,18 +538,16 @@ def _cmd_lint(args) -> int:
                     analysis = build_subtransitive_graph(
                         program,
                         registry=registry,
-                        tracer=tracer,
                         graph_backend=backend,
                     )
                 else:
                     analysis = analyze_hybrid(
                         program,
                         registry=registry,
-                        tracer=tracer,
                         graph_backend=backend,
                     )
                 result = run_lints(
-                    program, analysis, registry=registry, tracer=tracer,
+                    program, analysis, registry=registry,
                     impl=args.impl, explain=args.explain,
                 )
                 if args.sanitize:
@@ -586,8 +586,6 @@ def _cmd_lint(args) -> int:
                     _write_metrics(
                         args.metrics, collect_metrics(analysis)
                     )
-            finally:
-                _finish_tracer(tracer, args.trace)
         except BrokenPipeError:
             raise
         except (ReproError, OSError) as error:
@@ -865,11 +863,10 @@ def _cmd_obs_flame(args) -> int:
 
     program = _read_program(args.file)
     profiler = SpanProfiler()
-    analysis = repro.analyze(
-        program, algorithm=args.algorithm, profiler=profiler
-    )
-    if args.lint:
-        run_lints(program, analysis, profiler=profiler)
+    with bind_request(profiler=profiler):
+        analysis = repro.analyze(program, algorithm=args.algorithm)
+        if args.lint:
+            run_lints(program, analysis)
     lines = profiler.folded()
     validate_folded(lines)
     if args.tree:

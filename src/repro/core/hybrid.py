@@ -20,6 +20,7 @@ from repro.cfa.base import CFAResult
 from repro.cfa.standard import StandardCFAResult, analyze_standard
 from repro.errors import AnalysisBudgetExceeded, TypeInferenceError
 from repro.lang.ast import Program
+from repro.obs.events import engine_emitter, span
 
 from repro.core.queries import SubtransitiveCFA, analyze_subtransitive
 
@@ -67,8 +68,6 @@ def analyze_hybrid(
     budget_factor: int = HYBRID_BUDGET_FACTOR,
     node_budget: Optional[int] = None,
     registry=None,
-    tracer=None,
-    profiler=None,
     graph_backend: str = "object",
 ) -> HybridResult:
     """Try LC' with a linear node budget; fall back to the cubic
@@ -76,14 +75,15 @@ def analyze_hybrid(
 
     Always terminates: LC' either reaches a fixpoint within budget
     (and is exact — Propositions 1-2 hold regardless of typing) or the
-    standard algorithm provides the answer. ``registry``/``tracer``/
-    ``profiler`` (see :mod:`repro.obs`) instrument the LC' attempt; a
-    fallback is recorded on the registry (``hybrid.fallbacks``) and
-    the tracer, so metrics consumers can see the abandoned attempt's
-    budget burn — and the profiler keeps the abandoned attempt's spans
-    (the engine's try/finally span sites stay balanced across the
-    budget trip), so a flamegraph shows the burn next to the
-    ``hybrid.fallback`` span of the cubic re-run.
+    standard algorithm provides the answer. ``registry`` (and the
+    bound request's event log and span profiler, see
+    :mod:`repro.obs.events`) instrument the LC' attempt; a fallback is
+    recorded on the registry (``hybrid.fallbacks``) and as a
+    ``budget`` engine event, so metrics consumers can see the
+    abandoned attempt's budget burn — and the profiler keeps the
+    abandoned attempt's spans (the engine's try/finally span sites
+    stay balanced across the budget trip), so a flamegraph shows the
+    burn next to the ``hybrid.fallback`` span of the cubic re-run.
     """
     if node_budget is None:
         node_budget = budget_factor * max(program.size, 16)
@@ -92,8 +92,6 @@ def analyze_hybrid(
             program,
             node_budget=node_budget,
             registry=registry,
-            tracer=tracer,
-            profiler=profiler,
             graph_backend=graph_backend,
         )
         return HybridResult("subtransitive", result, registry=registry)
@@ -109,16 +107,12 @@ def analyze_hybrid(
         if registry is not None:
             registry.counter("hybrid.fallbacks").inc()
             registry.counter(f"hybrid.fallback.{reason}").inc()
-        if tracer is not None:
-            tracer.emit("budget", resource="hybrid", action="fallback",
-                        reason=reason)
-        if profiler is not None:
-            profiler.push("hybrid.fallback")
-        try:
+        trace = engine_emitter("core")
+        if trace is not None:
+            trace("budget", resource="hybrid", action="fallback",
+                  reason=reason)
+        with span("hybrid.fallback"):
             standard = analyze_standard(program)
-        finally:
-            if profiler is not None:
-                profiler.pop()
         return HybridResult(
             "standard",
             standard,

@@ -36,12 +36,14 @@ in the build phase" — is directly measurable from
 
 from __future__ import annotations
 
+import contextlib
 from collections import deque
 from collections.abc import Mapping
 from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from repro._util import ensure_recursion_limit
 from repro.errors import AnalysisBudgetExceeded
+from repro.obs.events import current_profiler, engine_emitter
 from repro.obs.metrics import MetricsRegistry
 from repro.graph import make_graph
 from repro.graph.digraph import Digraph
@@ -238,8 +240,6 @@ class LCEngine:
         instance_budget: int = 10_000,
         max_depth: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
-        tracer=None,
-        profiler=None,
         graph_backend: str = "object",
     ):
         if congruence is not None and congruence.requires_types:
@@ -253,22 +253,20 @@ class LCEngine:
         self.program = program
         self.factory = NodeFactory(
             program, congruence, inference, node_budget, max_depth,
-            tracer=tracer,
         )
         #: Which graph representation backs this run: ``"object"``
         #: (the adjacency-set golden twin) or ``"csr"`` (flat arrays).
         self.graph_backend = graph_backend
         self.graph = make_graph(graph_backend)
         self.stats = LCStatistics(registry)
-        #: Optional :class:`repro.obs.trace.Tracer`; ``None`` (the
-        #: default) is the no-op mode — every emission site guards on
-        #: it, so uninstrumented runs pay one pointer test.
-        self.tracer = tracer
-        #: Optional :class:`repro.obs.profile.SpanProfiler`; same
-        #: opt-in contract as the tracer (one ``is not None`` test per
-        #: span site). Span sites are coarse — phases, demand sweeps,
+        #: Engine-event emitter and span profiler of the bound request
+        #: (:mod:`repro.obs.events`), set by :meth:`instrumented` for
+        #: one entry point only and ``None`` otherwise — every site
+        #: guards on them, so uninstrumented runs pay one pointer
+        #: test. Span sites are coarse — phases, demand sweeps,
         #: rule-family loops — never per rule firing.
-        self.profiler = profiler
+        self.trace = None
+        self.profiler = None
         #: Edges whose first insertion came from a closure rule, in
         #: insertion order. Only genuinely-new edges are recorded
         #: (``_edge`` appends after ``add_edge`` reports the edge as
@@ -290,7 +288,7 @@ class LCEngine:
         #: before duplicate detection). The incremental daemon uses it
         #: to reference-count build-edge emissions per definition so a
         #: retraction knows when a physical edge loses its last
-        #: justification. Same opt-in contract as ``tracer``.
+        #: justification. Same opt-in contract as ``trace``.
         self.edge_recorder = None
         #: Names of let/letrec bindings analysed polyvariantly
         #: (Section 7); empty/None for the monovariant analysis.
@@ -306,15 +304,38 @@ class LCEngine:
 
     # -- public driver -------------------------------------------------------
 
+    @contextlib.contextmanager
+    def instrumented(self):
+        """Read the bound request's engine-event log and span profiler
+        for one entry point, restoring the previous ones on exit.
+
+        A long-lived engine (a session, a daemon project) outlives its
+        requests, so it must never keep one request's instruments for
+        the next: entry points (:meth:`run`, the session operations)
+        wrap their work in this instead.
+        """
+        saved = self.trace, self.profiler
+        self.trace = self.factory.trace = engine_emitter("core")
+        self.profiler = current_profiler()
+        try:
+            yield
+        finally:
+            self.trace, self.profiler = saved
+            self.factory.trace = saved[0]
+
     def run(self) -> SubtransitiveGraph:
         """Build + close; returns the finished graph."""
         ensure_recursion_limit()
+        with self.instrumented():
+            return self._run()
+
+    def _run(self) -> SubtransitiveGraph:
         registry = self.stats.registry
-        tracer = self.tracer
+        trace = self.trace
         profiler = self.profiler
         build_timer = registry.timer("phase.build")
-        if tracer is not None:
-            tracer.emit("phase", phase="build", action="start")
+        if trace is not None:
+            trace("phase", phase="build", action="start")
         if profiler is not None:
             profiler.push("phase.build")
         try:
@@ -326,8 +347,8 @@ class LCEngine:
         self.stats.build_seconds = build_timer.last_seconds
         self.stats.build_nodes = self.factory.node_count
         self.stats.build_edges = self.graph.edge_count
-        if tracer is not None:
-            tracer.emit(
+        if trace is not None:
+            trace(
                 "phase",
                 phase="build",
                 action="end",
@@ -335,8 +356,8 @@ class LCEngine:
                 edges=self.stats.build_edges,
             )
         close_timer = registry.timer("phase.close")
-        if tracer is not None:
-            tracer.emit("phase", phase="close", action="start")
+        if trace is not None:
+            trace("phase", phase="close", action="start")
         if profiler is not None:
             profiler.push("phase.close")
         try:
@@ -357,8 +378,8 @@ class LCEngine:
         # incremental mutation invalidates and rebuilds lazily).
         self.graph.freeze()
         self._export_gauges()
-        if tracer is not None:
-            tracer.emit(
+        if trace is not None:
+            trace(
                 "phase",
                 phase="close",
                 action="end",
@@ -437,8 +458,8 @@ class LCEngine:
             self._c_abs1.value += 1
             self._edge(mkop(("ran",), lam_node), make(node.body, ctx))
             self._c_abs2.value += 1
-            if self.tracer is not None:
-                self.tracer.emit(
+            if self.trace is not None:
+                self.trace(
                     "rule", rule="ABS", site=node.nid, phase="build"
                 )
         elif isinstance(node, App):
@@ -447,8 +468,8 @@ class LCEngine:
             self._c_app1.value += 1
             self._edge(make(node, ctx), mkop(("ran",), fn_node))
             self._c_app2.value += 1
-            if self.tracer is not None:
-                self.tracer.emit(
+            if self.trace is not None:
+                self.trace(
                     "rule", rule="APP", site=node.nid, phase="build"
                 )
         elif isinstance(node, (Let, Letrec)):
@@ -554,8 +575,8 @@ class LCEngine:
             self.pending.append((src, dst))
             if close:
                 self.close_edge_set.append((src, dst))
-            if self.tracer is not None:
-                self.tracer.emit(
+            if self.trace is not None:
+                self.trace(
                     "edge",
                     src=src.describe(),
                     dst=dst.describe(),
@@ -621,8 +642,8 @@ class LCEngine:
         over the premise edges that arrived earlier."""
         node.demanded = True
         self.stats.demanded_nodes += 1
-        if self.tracer is not None:
-            self.tracer.emit("demand", node=node.describe())
+        if self.trace is not None:
+            self.trace("demand", node=node.describe())
         profiler = self.profiler
         if profiler is not None:
             profiler.push("sweep")
@@ -640,8 +661,8 @@ class LCEngine:
         contra = self._c_close_contra
         mkop = self.factory.op_node
         profiler = self.profiler
-        if self.tracer is not None:
-            self.tracer.emit(
+        if self.trace is not None:
+            self.trace(
                 "sweep", node=node.describe(), inner=inner.describe()
             )
         head = opkey[0]
@@ -734,8 +755,6 @@ def build_subtransitive_graph(
     node_budget: Optional[int] = None,
     polyvariant_lets: Optional[frozenset] = None,
     registry: Optional[MetricsRegistry] = None,
-    tracer=None,
-    profiler=None,
     graph_backend: str = "object",
 ) -> SubtransitiveGraph:
     """Run LC' on ``program`` and return the subtransitive graph.
@@ -778,8 +797,6 @@ def build_subtransitive_graph(
         if inference is not None
         else None,
         registry=registry,
-        tracer=tracer,
-        profiler=profiler,
         graph_backend=graph_backend,
     )
     return engine.run()

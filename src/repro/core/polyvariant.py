@@ -96,8 +96,6 @@ def analyze_polyvariant(
     instance_budget: int = 10_000,
     node_budget: Optional[int] = None,
     registry=None,
-    tracer=None,
-    profiler=None,
     graph_backend: str = "object",
 ) -> SubtransitiveCFA:
     """Polyvariant subtransitive CFA.
@@ -119,8 +117,6 @@ def analyze_polyvariant(
         polyvariant_lets=binders,
         instance_budget=instance_budget,
         registry=registry,
-        tracer=tracer,
-        profiler=profiler,
         graph_backend=graph_backend,
     )
     return SubtransitiveCFA(engine.run())

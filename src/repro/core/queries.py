@@ -341,16 +341,15 @@ def analyze_subtransitive(
     node_budget: Optional[int] = None,
     polyvariant_lets: Optional[frozenset] = None,
     registry=None,
-    tracer=None,
-    profiler=None,
     graph_backend: str = "object",
 ) -> SubtransitiveCFA:
     """Convenience: run LC' and wrap the result in the query layer.
 
-    ``registry``/``tracer``/``profiler`` (see :mod:`repro.obs`)
-    instrument the run; all default to off. ``graph_backend`` picks
-    the graph representation (``"object"`` adjacency sets or the
-    ``"csr"`` flat-array core); results are identical either way.
+    ``registry`` collects the run's counters; the bound request's
+    event log and span profiler (:mod:`repro.obs.events`) instrument
+    it. ``graph_backend`` picks the graph representation
+    (``"object"`` adjacency sets or the ``"csr"`` flat-array core);
+    results are identical either way.
     """
     from repro.core.lc import build_subtransitive_graph
 
@@ -361,8 +360,6 @@ def analyze_subtransitive(
         node_budget=node_budget,
         polyvariant_lets=polyvariant_lets,
         registry=registry,
-        tracer=tracer,
-        profiler=profiler,
         graph_backend=graph_backend,
     )
     return SubtransitiveCFA(sub)

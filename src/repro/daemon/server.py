@@ -46,6 +46,11 @@ DEFAULT_SLOW_THRESHOLD_S = 1.0
 #: Slow-request log depth (newest kept).
 SLOW_LOG_CAPACITY = 32
 
+#: Largest request frame (one JSONL line, newline included) the
+#: daemon reads. A longer frame gets one ``id: null`` error naming
+#: this limit, then the connection closes (docs/DAEMON.md).
+MAX_FRAME_BYTES = 4 * 1024 * 1024
+
 
 def _dumps(record: Dict[str, object]) -> bytes:
     return (
@@ -85,7 +90,8 @@ class DaemonServer:
         self._slow: "deque" = deque(maxlen=SLOW_LOG_CAPACITY)
         self._started_mono = time.monotonic()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._clients: set = set()
+        #: Live connection handler tasks and their stream writers.
+        self._clients: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._shutdown = asyncio.Event()
         self._c_requests = self.registry.counter("daemon.requests")
         self._c_errors = self.registry.counter("daemon.errors")
@@ -99,11 +105,16 @@ class DaemonServer:
             if os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)
             self._server = await asyncio.start_unix_server(
-                self._handle_client, path=self.socket_path
+                self._handle_client,
+                path=self.socket_path,
+                limit=MAX_FRAME_BYTES,
             )
         else:
             self._server = await asyncio.start_server(
-                self._handle_client, host=self.host, port=self.port
+                self._handle_client,
+                host=self.host,
+                port=self.port,
+                limit=MAX_FRAME_BYTES,
             )
 
     async def serve_forever(self) -> None:
@@ -121,9 +132,19 @@ class DaemonServer:
         # Long-lived handlers (subscribe tails) must finish before the
         # event loop closes, or their cleanup runs against a dead loop.
         current = asyncio.current_task()
-        handlers = {t for t in self._clients if t is not current}
+        handlers = {
+            t: w for t, w in self._clients.items() if t is not current
+        }
         if handlers:
-            _, pending = await asyncio.wait(handlers, timeout=1.0)
+            _, pending = await asyncio.wait(list(handlers), timeout=1.0)
+            # What is still open is an idle connection parked in
+            # readline: closing its transport ends the handler with
+            # EOF. Cancelling it instead makes asyncio log the
+            # cancellation as an unhandled callback error.
+            for task in pending:
+                handlers[task].close()
+            if pending:
+                _, pending = await asyncio.wait(pending, timeout=1.0)
             for task in pending:
                 task.cancel()
             if pending:
@@ -140,12 +161,17 @@ class DaemonServer:
     ) -> None:
         task = asyncio.current_task()
         if task is not None:
-            self._clients.add(task)
+            self._clients[task] = writer
         try:
             while True:
                 try:
                     line = await reader.readline()
                 except (ConnectionResetError, asyncio.IncompleteReadError):
+                    break
+                except ValueError:
+                    # The StreamReader's limit overrun: the frame is
+                    # longer than MAX_FRAME_BYTES.
+                    await self._reject_oversized(writer)
                     break
                 if not line:
                     break
@@ -173,12 +199,34 @@ class DaemonServer:
                     break
         finally:
             if task is not None:
-                self._clients.discard(task)
+                self._clients.pop(task, None)
             try:
                 writer.close()
             except RuntimeError:
                 # The loop already closed under an abandoned handler.
                 pass
+
+    async def _reject_oversized(self, writer: asyncio.StreamWriter) -> None:
+        """Fail closed on an over-limit frame: one typed error and one
+        event; the caller then closes the connection unread."""
+        self._c_requests.inc()
+        self._c_errors.inc()
+        request_id = events_mod.new_request_id()
+        self.events.emit(
+            "frame_rejected", request_id=request_id, component="server",
+            limit_bytes=MAX_FRAME_BYTES,
+        )
+        self.events.flush()
+        response = protocol.error_response(
+            None, None,
+            f"request frame exceeds the {MAX_FRAME_BYTES}-byte limit",
+        )
+        response["request_id"] = request_id
+        writer.write(_dumps(response))
+        try:
+            await writer.drain()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
 
     async def _stream_events(
         self,
@@ -306,7 +354,9 @@ class DaemonServer:
                     "daemon.fused_steps_per_request"
                 ).observe(steps)
             if elapsed >= self.slow_threshold_s:
-                self._record_slow(request_id, verb, elapsed, profiler)
+                self._record_slow(
+                    request_id, verb, elapsed, profiler.folded()
+                )
             extra = {} if steps is None else {"flow_steps": steps}
             # Last event of the chain: `repro obs req` treats a chain
             # as connected when it opens with "request" and closes
@@ -327,7 +377,7 @@ class DaemonServer:
         request_id: str,
         verb: Optional[str],
         seconds: float,
-        profiler: SpanProfiler,
+        profile: List[str],
     ) -> None:
         self._slow.append(
             {
@@ -335,7 +385,7 @@ class DaemonServer:
                 "verb": verb,
                 "seconds": seconds,
                 "ts": time.time(),
-                "profile": profiler.folded(),
+                "profile": profile,
             }
         )
         emit_event(

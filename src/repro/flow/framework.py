@@ -39,7 +39,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence
 
 from repro.errors import AnalysisBudgetExceeded
 from repro.obs import MetricsRegistry
-from repro.obs.events import emit_event, tally
+from repro.obs.events import current_profiler, emit_event, tally
 
 Item = Hashable
 
@@ -60,7 +60,7 @@ class FlowContext:
     cached here.
     """
 
-    def __init__(self, program=None, sub=None, registry=None, profiler=None):
+    def __init__(self, program=None, sub=None, registry=None):
         self.program = program
         self.sub = sub
         self.graph = sub.graph if sub is not None else None
@@ -72,10 +72,6 @@ class FlowContext:
                 else MetricsRegistry()
             )
         self.registry = registry
-        #: Optional :class:`repro.obs.profile.SpanProfiler`; every
-        #: ``run_flow``/``run_fused`` pass on this context records one
-        #: ``flow.<name>`` span (same opt-in contract as the engine's).
-        self.profiler = profiler
         self._parent_of = None
         self._lambda_nodes = None
         self._sink_args = None
@@ -262,7 +258,9 @@ def run_flow(
         ctx = FlowContext()
     if registry is None:
         registry = ctx.registry
-    profiler = ctx.profiler
+    # One ``flow.<name>`` span per pass on the bound request's
+    # profiler, read here: a FlowContext can outlive the request.
+    profiler = current_profiler()
     if profiler is not None:
         profiler.push(f"flow.{analysis.name}")
     try:
@@ -308,7 +306,7 @@ def run_fused(
     """
     if registry is None:
         registry = ctx.registry
-    profiler = ctx.profiler
+    profiler = current_profiler()
     if profiler is not None:
         profiler.push("flow.fused")
     try:

@@ -27,6 +27,7 @@ from repro.lint.passes import (
     LintPass,
     primitive_sink_args,
 )
+from repro.obs.events import current_profiler, engine_emitter
 
 
 def _normalise_passes(passes) -> List[LintPass]:
@@ -66,8 +67,6 @@ def run_lints(
     passes: Optional[Iterable] = None,
     registry=None,
     scope: Optional[Set[int]] = None,
-    tracer=None,
-    profiler=None,
     impl: str = "hand",
     explain: bool = False,
 ) -> LintResult:
@@ -75,11 +74,13 @@ def run_lints(
 
     ``result`` is an existing analysis to reuse (see module docstring);
     ``scope`` restricts incremental passes to a set of nids;
-    ``registry``/``tracer``/``profiler`` instrument the run
-    (defaulting to the graph's own registry so one metrics document
-    covers everything; the profiler records one ``lint.<code>`` span
-    per pass with the shared flow sweep's ``flow.fused`` span nested
-    under whichever pass demanded it first).
+    ``registry`` collects the counters (defaulting to the graph's own
+    registry so one metrics document covers everything). The bound
+    request (:mod:`repro.obs.events`) instruments the run: its span
+    profiler records one ``lint.<code>`` span per pass with the shared
+    flow sweep's ``flow.fused`` span nested under whichever pass
+    demanded it first, and an engine-event log gets one ``lint``
+    event per pass.
 
     ``impl="rules"`` swaps every ported pass (L001–L005, F001–F004)
     for its rule-program twin (:mod:`repro.lint.ruleimpl`);
@@ -127,10 +128,7 @@ def run_lints(
     if sub is None and engine == "subtransitive":
         from repro.core.lc import build_subtransitive_graph
 
-        sub = build_subtransitive_graph(
-            program, registry=registry, tracer=tracer,
-            profiler=profiler,
-        )
+        sub = build_subtransitive_graph(program, registry=registry)
     if engine == "standard":
         return _fallback_lints(
             program,
@@ -143,10 +141,9 @@ def run_lints(
 
     if registry is None:
         registry = sub.stats.registry
-    ctx = LintContext(
-        program, sub, registry=registry, profiler=profiler,
-        explain=explain,
-    )
+    ctx = LintContext(program, sub, registry=registry, explain=explain)
+    profiler = current_profiler()
+    trace = engine_emitter("lint")
     findings: List[Finding] = []
     pass_seconds: Dict[str, float] = {}
     for lint_pass in lint_passes:
@@ -164,8 +161,8 @@ def run_lints(
         registry.counter(f"lint.findings.{lint_pass.code}").inc(
             len(found)
         )
-        if tracer is not None:
-            tracer.emit(
+        if trace is not None:
+            trace(
                 "lint",
                 rule=lint_pass.code,
                 findings=len(found),

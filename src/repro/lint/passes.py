@@ -50,9 +50,7 @@ class LintContext:
     tests bound by the graph size.
     """
 
-    def __init__(
-        self, program, sub, registry=None, profiler=None, explain=False
-    ):
+    def __init__(self, program, sub, registry=None, explain=False):
         self.program = program
         self.sub = sub
         self.graph = sub.graph
@@ -60,7 +58,6 @@ class LintContext:
         self.registry = (
             registry if registry is not None else sub.stats.registry
         )
-        self.profiler = profiler
         #: When True, the rule-based passes run their programs with
         #: provenance recording and attach derivations to findings.
         self.explain = explain
@@ -93,10 +90,7 @@ class LintContext:
             from repro.flow.framework import FlowContext
 
             self._flow = FlowContext(
-                self.program,
-                self.sub,
-                registry=self.registry,
-                profiler=self.profiler,
+                self.program, self.sub, registry=self.registry
             )
         return self._flow
 

@@ -1,4 +1,4 @@
-"""Observability for the LC' engine: metrics, tracing, stable export.
+"""Observability for the LC' engine: metrics, events, stable export.
 
 The paper's empirical claims are numbers — build-vs-close node/edge
 counts (Tables 1-2), linear scaling, per-rule firing counts — and as
@@ -8,31 +8,35 @@ single home for that accounting:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
   gauges and monotonic-clock timers; one registry per engine run;
-* :mod:`repro.obs.trace` — :class:`Tracer`, a structured event
-  recorder (rule firings, demand sweeps, budget consumption) with a
-  bounded ring buffer and an optional JSONL sink; opt-in, ``None`` by
-  default so the hot path pays one pointer test;
 * :mod:`repro.obs.export` — the versioned JSON metrics document
   (:data:`SCHEMA`), :func:`collect_metrics` to produce it from any
   analysis result, and :func:`validate_metrics`, the structural
   validator that freezes the contract;
 * :mod:`repro.obs.profile` — :class:`SpanProfiler`, a hierarchical
   span profiler (phase → rule family → flow pass) with folded-stack
-  flamegraph export; opt-in exactly like the tracer;
+  flamegraph export;
 * :mod:`repro.obs.baseline` — the ``repro.obs-diff/1`` regression
   report: diff two metrics documents against per-metric thresholds
   and noise floors, with an exit-code verdict for CI gates;
-* :mod:`repro.obs.tracetools` — offline analytics over ``trace.jsonl``
-  streams (hotspot tables, demand-sweep waterfall, edge-provenance
-  cross-checks against the metrics accounting);
+* :mod:`repro.obs.tracetools` — offline analytics over
+  ``repro.events/1`` streams (hotspot tables, demand-sweep waterfall,
+  edge-provenance cross-checks against the metrics accounting);
 * :mod:`repro.obs.events` — the ``repro.events/1`` request-correlated
-  event log: ring-buffered :class:`EventLog` with rotating JSONL
-  sink, the contextvars-based request binding every layer emits
+  event log: ring-buffered :class:`EventLog` with a JSONL sink, the
+  contextvars-based request binding every layer emits and profiles
   through, and the telemetry-envelope validators;
 * :mod:`repro.obs.live` — live rendering over event logs and
   ``telemetry`` scrapes (Prometheus text exposition, request-chain
   reassembly for ``repro obs req``, the refreshing ``obs top --live``
   table).
+
+Event logs and span profilers are bound, never passed: no engine
+signature takes one. A library caller binds a request context for the
+extent of the work it wants recorded::
+
+    with bind_request(log=EventLog(engine_events=True),
+                      profiler=SpanProfiler()):
+        repro.analyze(program)
 
 See ``docs/OBSERVABILITY.md`` for the schema reference and CLI usage
 (``repro analyze --metrics out.json --trace out.jsonl``,
@@ -48,6 +52,8 @@ from repro.obs.baseline import (
     validate_diff,
 )
 from repro.obs.events import (
+    ENGINE_EVENT_KINDS,
+    EVENT_KINDS,
     EVENTS_SCHEMA,
     EventLog,
     RequestContext,
@@ -74,7 +80,6 @@ from repro.obs.live import (
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, Timer
 from repro.obs.profile import Span, SpanProfiler, validate_folded
-from repro.obs.trace import EVENT_KINDS, NULL_TRACER, NullTracer, Tracer
 from repro.obs.tracetools import (
     demand_waterfall,
     node_hotspots,
@@ -86,20 +91,18 @@ from repro.obs.tracetools import (
 __all__ = [
     "Counter",
     "DIFF_SCHEMA",
+    "ENGINE_EVENT_KINDS",
     "EVENTS_SCHEMA",
     "EVENT_KINDS",
     "EventLog",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
     "RequestContext",
     "SCHEMA",
     "Span",
     "SpanProfiler",
     "Timer",
-    "Tracer",
     "bind_request",
     "collect_metrics",
     "current_request",

@@ -18,7 +18,11 @@ fused sweep:
   :mod:`repro.flow.framework`, :mod:`repro.serve.pool`) call
   unconditionally; they are no-ops when no request is bound, so the
   batch/CLI fast paths pay one ``ContextVar.get`` when telemetry is
-  off.
+  off;
+* :func:`current_profiler` / :func:`engine_emitter` — what the
+  engines (LC', lint, flow, rules) read once per public entry point
+  and keep for that call only, so an unbound run pays one ``is None``
+  test per instrumented site.
 
 ``contextvars`` makes this correct under the daemon's concurrency
 model: each asyncio task carries its own context, so two in-flight
@@ -28,7 +32,10 @@ requests on different connections never see each other's ids, while
 Emission discipline (the <1% overhead budget of E21): layers emit
 **per-request aggregates** — one event per flow pass with its step
 totals, one per delta-engine mutation with its outcome, one per verb
-— never one event per worklist step.
+— never one event per worklist step. The one exception is a log
+created with ``engine_events=True`` (``repro analyze|lint --trace``):
+it also receives the per-rule, per-edge engine events of
+:data:`ENGINE_EVENT_KINDS`.
 
 The event record shape is frozen by :func:`validate_event`; the
 ``telemetry`` scrape envelope by :func:`validate_telemetry`. Breaking
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import json
 import os
 import time
@@ -63,6 +71,22 @@ EVENT_KINDS = (
     "job",  # one batch job (status + cache tier + seconds)
     "slow_request",  # request over threshold; carries folded spans
     "subscribe",  # a live tail attached/detached
+    "frame_rejected",  # daemon frame over the size limit
+)
+
+#: Fine-grained engine event kinds. They reach only a log that asked
+#: for them (:attr:`EventLog.engine_events`, set by ``--trace``): one
+#: per rule firing or edge is far past the per-request aggregate
+#: budget of the daemon and batch logs.
+ENGINE_EVENT_KINDS = (
+    "phase",  # LC' build/close phase entered or left
+    "rule",  # one application of a named LC' build rule
+    "edge",  # an edge actually inserted into the graph
+    "demand",  # a node's first incoming edge made it demanded
+    "sweep",  # a demand sweep over pre-demand premise edges
+    "budget",  # budget truncation / exhaustion / hybrid fallback
+    "session",  # incremental session define/query boundaries
+    "lint",  # one lint pass (findings + seconds)
 )
 
 #: Default in-memory ring capacity (events, not bytes).
@@ -70,8 +94,12 @@ DEFAULT_CAPACITY = 4096
 
 #: Default rotating-sink bound: rotate the JSONL file once it passes
 #: this many bytes, keeping one ``.1`` predecessor (so disk usage is
-#: bounded by ~2x this).
+#: bounded by ~2x this). ``sink_bytes=None`` never rotates.
 DEFAULT_SINK_BYTES = 8 * 1024 * 1024
+
+#: The sink serialises its queued events once this many are pending,
+#: so a long engine trace never holds the whole stream in memory.
+SINK_FLUSH_EVENTS = 1024
 
 
 def new_request_id() -> str:
@@ -81,7 +109,7 @@ def new_request_id() -> str:
 
 class _RotatingSink:
     """Append JSONL event records to ``path``, rotating at
-    ``max_bytes``.
+    ``max_bytes`` (never, when it is None).
 
     Rotation renames ``path`` to ``path.1`` (clobbering the previous
     ``.1``), so total disk usage is bounded without ever blocking on
@@ -89,12 +117,15 @@ class _RotatingSink:
 
     ``write`` only queues the event dict; serialisation and the
     actual file write happen in :meth:`flush` (the daemon calls it
-    once per request). That keeps the engine-side emission cost to a
-    list append — the <1% overhead budget (E21) has no room for a
-    ``json.dumps`` per event on the hot path.
+    once per request, and ``write`` calls it every
+    :data:`SINK_FLUSH_EVENTS` events). That keeps the engine-side
+    emission cost to a list append — the <1% overhead budget (E21)
+    has no room for a ``json.dumps`` per event on the hot path.
     """
 
-    def __init__(self, path: str, max_bytes: int = DEFAULT_SINK_BYTES):
+    def __init__(
+        self, path: str, max_bytes: Optional[int] = DEFAULT_SINK_BYTES
+    ):
         self.path = path
         self.max_bytes = max_bytes
         self._handle = open(path, "a", encoding="utf-8")
@@ -103,17 +134,24 @@ class _RotatingSink:
 
     def write(self, event: Dict[str, object]) -> None:
         self._pending.append(event)
+        if len(self._pending) >= SINK_FLUSH_EVENTS:
+            self.flush()
 
     def flush(self) -> None:
         if not self._pending:
             return
         pending, self._pending = self._pending, []
+        max_bytes = self.max_bytes
         for event in pending:
             line = (
                 json.dumps(event, sort_keys=True, separators=(",", ":"))
                 + "\n"
             )
-            if self._size + len(line) > self.max_bytes and self._size > 0:
+            if (
+                max_bytes is not None
+                and self._size + len(line) > max_bytes
+                and self._size > 0
+            ):
                 self._handle.close()
                 os.replace(self.path, self.path + ".1")
                 self._handle = open(self.path, "a", encoding="utf-8")
@@ -134,17 +172,26 @@ class EventLog:
     event is dropped and :attr:`dropped` counts exactly how many were
     lost (the daemon surfaces it as ``events_dropped`` in ``status``).
     The file sink, when configured, sees *every* event (it rotates
-    instead of dropping). Listeners are called synchronously with each
-    event dict; they must be cheap and must not raise.
+    instead of dropping; ``sink_bytes=None`` keeps the whole stream in
+    one file, as a ``--trace`` must). Listeners are called
+    synchronously with each event dict; they must be cheap and must
+    not raise.
+
+    ``engine_events`` opts the log into the fine-grained engine events
+    (:data:`ENGINE_EVENT_KINDS`): the entry point that creates the log
+    decides, so the daemon and batch logs keep to per-request
+    aggregates while a ``--trace`` log records every rule firing.
     """
 
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
         sink_path: Optional[str] = None,
-        sink_bytes: int = DEFAULT_SINK_BYTES,
+        sink_bytes: Optional[int] = DEFAULT_SINK_BYTES,
+        engine_events: bool = False,
     ):
         self.capacity = capacity
+        self.engine_events = engine_events
         self._ring = deque()
         self.dropped = 0
         self._seq = 0
@@ -271,6 +318,28 @@ def current_request() -> Optional[RequestContext]:
     return _current.get()
 
 
+def current_profiler():
+    """The bound request's span profiler, or None."""
+    ctx = _current.get()
+    return ctx.profiler if ctx is not None else None
+
+
+def engine_emitter(component: str):
+    """An ``emit(kind, **fields)`` onto the bound request's log when
+    that log asked for engine events, else None.
+
+    Engines call this once per public entry point and keep the result
+    for that call only: a long-lived engine must never carry one
+    request's log into the next.
+    """
+    ctx = _current.get()
+    if ctx is None or ctx.log is None or not ctx.log.engine_events:
+        return None
+    return functools.partial(
+        ctx.log.emit, request_id=ctx.request_id, component=component
+    )
+
+
 @contextlib.contextmanager
 def bind_request(
     request_id: Optional[str] = None,
@@ -321,8 +390,7 @@ def tally(name: str, amount: float = 1) -> None:
 @contextlib.contextmanager
 def span(name: str):
     """Profile a section on the bound request's SpanProfiler, if any."""
-    ctx = _current.get()
-    profiler = ctx.profiler if ctx is not None else None
+    profiler = current_profiler()
     if profiler is None:
         yield
         return
@@ -334,18 +402,6 @@ def span(name: str):
 
 
 # -- validation ------------------------------------------------------------
-
-
-def looks_like_event(record) -> bool:
-    """Frame-sniff: is this JSONL record a ``repro.events/1`` event
-    (as opposed to a PR-5 trace event, which has neither ``seq`` nor
-    ``request_id``)?"""
-    return (
-        isinstance(record, dict)
-        and "seq" in record
-        and "request_id" in record
-        and "kind" in record
-    )
 
 
 def validate_event(record):
@@ -416,16 +472,28 @@ def validate_telemetry(document):
 
 def read_event_log(source) -> List[Dict[str, object]]:
     """Parse an event-log JSONL stream (path, file object, or iterable
-    of lines/dicts) into validated event records."""
+    of lines/dicts) into validated event records.
+
+    Every record must pass :func:`validate_event`; malformed input
+    raises :class:`ValueError` naming the line.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
             return read_event_log(handle)
     records = []
-    for item in source:
+    for lineno, item in enumerate(source, 1):
         if isinstance(item, (str, bytes)):
             line = item.strip()
             if not line:
                 continue
-            item = json.loads(line)
-        records.append(validate_event(item))
+            try:
+                item = json.loads(line)
+            except ValueError as error:
+                raise ValueError(
+                    f"event line {lineno}: invalid JSON ({error})"
+                ) from None
+        try:
+            records.append(validate_event(item))
+        except ValueError as error:
+            raise ValueError(f"event line {lineno}: {error}") from None
     return records

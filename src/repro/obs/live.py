@@ -1,7 +1,8 @@
 """Live rendering over event logs and ``telemetry`` scrapes.
 
-The reader/presentation side of :mod:`repro.obs.events`, mirroring
-how :mod:`repro.obs.tracetools` sits on :mod:`repro.obs.trace`:
+The live, request-centric presentation side of
+:mod:`repro.obs.events` (:mod:`repro.obs.tracetools` holds the engine
+analytics over the same records):
 
 * :func:`render_prometheus` — the ``telemetry`` verb's text format: a
   Prometheus-style exposition of the daemon registry (counters,
@@ -15,8 +16,8 @@ how :mod:`repro.obs.tracetools` sits on :mod:`repro.obs.trace`:
   table: per-verb latency quantiles from the histograms, per-project
   warm/cold hit rates from the registry status;
 * :func:`render_events_top` / :func:`render_request_waterfall` — the
-  offline reports ``repro obs top``/``waterfall`` produce when handed
-  an event-log file instead of an engine trace.
+  request sections of the offline ``repro obs top``/``waterfall``
+  reports.
 
 Quantiles are bucket-resolution (log2 upper bounds): good enough to
 tell a 2ms p95 from a 200ms one, which is what a live view is for;

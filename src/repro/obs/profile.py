@@ -1,12 +1,12 @@
 """Hierarchical span profiler for the analysis pipeline.
 
-Where :mod:`repro.obs.metrics` answers "how many" and
-:mod:`repro.obs.trace` answers "in what order", the profiler answers
-"*where did the time go*": it records a tree of named spans —
-phase → rule-family → flow-pass — with per-span call counts,
-cumulative seconds and (derived) self seconds, and exports the tree in
-the standard folded-stack format consumed by flamegraph renderers
-(``a;b;c 123``, one line per stack, integer sample weight).
+Where :mod:`repro.obs.metrics` answers "how many" and the engine
+events of :mod:`repro.obs.events` answer "in what order", the
+profiler answers "*where did the time go*": it records a tree of
+named spans — phase → rule-family → flow-pass — with per-span call
+counts, cumulative seconds and (derived) self seconds, and exports
+the tree in the standard folded-stack format consumed by flamegraph
+renderers (``a;b;c 123``, one line per stack, integer sample weight).
 
 This is the per-phase attribution CFA-at-scale work (Vardoulakis &
 Shivers' CFA2, Van Horn & Mairson's complexity analyses) leans on to
@@ -14,12 +14,13 @@ diagnose closure blowups: a cubic-family run whose flame is dominated
 by ``phase.close;sweep;rule.CLOSE-COV`` tells a very different story
 from one stuck in ``flow.fused``.
 
-Design constraints, matching the Tracer's:
+Design constraints:
 
-* **Strictly opt-in.** Every instrumented call site holds
-  ``profiler=None`` by default and guards emission with a single
-  ``is not None`` test, so unprofiled runs pay one pointer comparison
-  per span site.
+* **Strictly opt-in, bound by context.** A profiler records only
+  while it is bound into the request context
+  (``bind_request(profiler=...)``); each engine entry point reads it
+  once and guards every span site with a single ``is not None``
+  test, so unprofiled runs pay one pointer comparison per site.
 * **Cheap when on.** Spans are ``__slots__`` objects interned per
   (parent, name); entering a re-visited span is two dict-free
   attribute reads, one dict ``get`` and one ``perf_counter`` call.

@@ -1,10 +1,13 @@
-"""Offline analytics over ``trace.jsonl`` streams.
+"""Offline analytics over ``repro.events/1`` streams.
 
-The tracer (:mod:`repro.obs.trace`) writes every engine event to its
-JSONL sink; this module is the reader side — everything here works on
-a finished trace file, long after the analysed process exited:
+``repro analyze|lint --trace PATH`` binds an engine-event
+:class:`~repro.obs.events.EventLog` whose sink is PATH; the daemon's
+``--events`` log is the same dialect with per-request aggregates
+only. This module is the reader side — everything here works on a
+finished event file, long after the recording process exited:
 
-* :func:`read_events` — parse and structurally check a JSONL stream;
+* :func:`read_events` — parse a JSONL stream, validating every record
+  with :func:`~repro.obs.events.validate_event`;
 * :func:`completeness` — is the stream the *whole* story? The sink
   receives every event (the ring buffer only bounds the in-memory
   view), so a complete trace has contiguous ``seq`` values from 0;
@@ -21,78 +24,25 @@ a finished trace file, long after the analysed process exited:
   close_edges`` in the run's metrics document.
 
 The CLI surfaces these as ``repro obs top`` and
-``repro obs waterfall`` (see ``docs/OBSERVABILITY.md``).
-
-Two JSONL dialects share this reader: PR-5 engine traces
-(``trace.jsonl``) and the ``repro.events/1`` request-correlated event
-log (:mod:`repro.obs.events`). :func:`read_events` sniffs each frame
-— event-log records carry ``request_id``, trace records never do —
-so ``repro obs top``/``waterfall`` work on either file; the rendering
-entry points dispatch on :func:`is_event_stream`.
+``repro obs waterfall`` (see ``docs/OBSERVABILITY.md``); each report
+prints the sections the stream has records for — engine hotspots and
+the demand cascade for engine events, per-request tables for
+request/response events.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
-from repro.obs.events import looks_like_event, validate_event
-from repro.obs.trace import EVENT_KINDS
+from repro.obs.events import ENGINE_EVENT_KINDS, read_event_log
+
+#: The one ``repro.events/1`` reader, under the name the trace
+#: analytics export.
+read_events = read_event_log
 
 
-def read_events(source) -> List[Dict[str, object]]:
-    """Load trace events from a path, file-like object, or iterable.
-
-    Accepts a filesystem path (str), an open text stream, an iterable
-    of JSONL lines, or an iterable of already-parsed event dicts.
-    Each event must carry an integer ``seq`` and a known ``kind``;
-    malformed input raises :class:`ValueError` naming the line.
-    """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_events(handle)
-    events: List[Dict[str, object]] = []
-    for lineno, item in enumerate(source, 1):
-        if isinstance(item, (str, bytes)):
-            text = item.strip()
-            if not text:
-                continue
-            try:
-                event = json.loads(text)
-            except ValueError as error:
-                raise ValueError(
-                    f"trace line {lineno}: invalid JSON ({error})"
-                ) from None
-        else:
-            event = item
-        if not isinstance(event, dict):
-            raise ValueError(f"trace line {lineno}: expected an object")
-        if looks_like_event(event):
-            # A repro.events/1 record (request-correlated event log).
-            try:
-                validate_event(event)
-            except ValueError as error:
-                raise ValueError(
-                    f"trace line {lineno}: {error}"
-                ) from None
-            events.append(event)
-            continue
-        seq = event.get("seq")
-        if not isinstance(seq, int) or isinstance(seq, bool):
-            raise ValueError(f"trace line {lineno}: missing integer 'seq'")
-        kind = event.get("kind")
-        if kind not in EVENT_KINDS and kind != "lint":
-            raise ValueError(
-                f"trace line {lineno}: unknown event kind {kind!r}"
-            )
-        events.append(event)
-    return events
-
-
-def is_event_stream(events: List[Dict[str, object]]) -> bool:
-    """True when the stream is ``repro.events/1`` (request-correlated
-    event log) rather than a PR-5 engine trace."""
-    return bool(events) and all(looks_like_event(e) for e in events)
+def _has_kind(events: List[Dict[str, object]], kinds) -> bool:
+    return any(event.get("kind") in kinds for event in events)
 
 
 def completeness(events: List[Dict[str, object]]) -> Dict[str, object]:
@@ -100,8 +50,8 @@ def completeness(events: List[Dict[str, object]]) -> Dict[str, object]:
 
     A JSONL sink receives every emitted event regardless of the ring
     buffer, so a complete trace has ``seq`` values 0..N-1 with no
-    gaps. A buffer dump (``tracer.events()``) after rotation starts
-    later — ``first_seq`` tells you how much is missing.
+    gaps. A ring-buffer dump (``log.events()``) after the ring dropped
+    events starts later — ``first_seq`` tells you how much is missing.
     """
     seqs = sorted(event["seq"] for event in events)
     gaps = 0
@@ -285,16 +235,27 @@ def render_top(
     metrics=None,
     limit: int = 10,
 ) -> str:
-    """The ``repro obs top`` report: rules, nodes, provenance.
+    """The ``repro obs top`` report.
 
-    Event-log streams get the request-centric report instead (per
+    Engine events get rule and node hotspots plus the provenance
+    line (which ``metrics`` always brings, its verdict being the
+    exit code of ``obs top --metrics``); request/response events, or
+    a stream with neither, get the request-centric report (per
     kind/component counts, per-verb latency, slowest requests)."""
+    from repro.obs.live import render_events_top
+
+    sections: List[str] = []
+    if _has_kind(events, ENGINE_EVENT_KINDS):
+        sections.append(_render_hotspots(events, limit))
+    if sections or metrics is not None:
+        sections.append(_render_provenance(events, metrics))
+    if _has_kind(events, ("request", "response")) or not sections:
+        sections.append(render_events_top(events, limit=limit))
+    return "\n\n".join(sections)
+
+
+def _render_hotspots(events: List[Dict[str, object]], limit: int) -> str:
     from repro.bench import Table
-
-    if is_event_stream(events):
-        from repro.obs.live import render_events_top
-
-        return render_events_top(events, limit=limit)
 
     lines: List[str] = []
     rules = rule_hotspots(events)
@@ -314,10 +275,12 @@ def render_top(
         )
     lines.append("")
     lines.append(node_table.render())
+    return "\n".join(lines)
 
+
+def _render_provenance(events: List[Dict[str, object]], metrics) -> str:
     check = provenance_check(events, metrics)
-    lines.append("")
-    lines.append(
+    lines = [
         "trace: {events} events, complete={complete}; edges "
         "build={build} close={close}, demands={demands}".format(
             events=check["events"],
@@ -326,7 +289,7 @@ def render_top(
             close=check["edge_events"]["close"],
             demands=check["demand_events"],
         )
-    )
+    ]
     if metrics is not None:
         verdict = "ok" if check["ok"] else "MISMATCH"
         lines.append(f"close-edge provenance vs metrics: {verdict}")
@@ -338,16 +301,25 @@ def render_top(
 def render_waterfall(
     events: List[Dict[str, object]], limit: int = 20
 ) -> str:
-    """The ``repro obs waterfall`` report: the demand cascade.
+    """The ``repro obs waterfall`` report.
 
-    Event-log streams get the request waterfall instead: one row per
-    request with the delta/flow work it triggered."""
+    Engine events get the demand cascade; request/response events (or
+    a stream with no engine events at all) get the request waterfall,
+    one row per request with the delta/flow work it triggered."""
+    from repro.obs.live import render_request_waterfall
+
+    sections: List[str] = []
+    if _has_kind(events, ENGINE_EVENT_KINDS):
+        sections.append(_render_demand_waterfall(events, limit))
+    if _has_kind(events, ("request", "response")) or not sections:
+        sections.append(render_request_waterfall(events, limit=limit))
+    return "\n\n".join(sections)
+
+
+def _render_demand_waterfall(
+    events: List[Dict[str, object]], limit: int
+) -> str:
     from repro.bench import Table
-
-    if is_event_stream(events):
-        from repro.obs.live import render_request_waterfall
-
-        return render_request_waterfall(events, limit=limit)
 
     rows = demand_waterfall(events)
     table = Table(

@@ -41,6 +41,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import ReproError
 from repro.flow.analyses import BoundedSetAnalysis, ReachabilityAnalysis
 from repro.flow.framework import FlowContext, run_fused
+from repro.obs.events import current_profiler
 from repro.rules.check import CheckedRules, RelationPlan, check_programs
 from repro.rules.dsl import NODE, Rel, Rule, RuleProgram, Var, fingerprint
 from repro.rules.eval import Extents, World, fire_rule
@@ -434,7 +435,7 @@ class CompiledRuleSet:
         world = World(source, extents)
         joined = 0
 
-        profiler = ctx.profiler
+        profiler = current_profiler()
         if profiler is not None:
             profiler.push("rules.eval")
         try:

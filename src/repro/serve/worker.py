@@ -94,19 +94,6 @@ def _apply_faults(fault: Dict[str, object]) -> None:
         raise RuntimeError(str(message))
 
 
-class _NoSpan:
-    """No-op stand-in for a profiler span (profile not requested)."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        pass
-
-
-_NO_SPAN = _NoSpan()
-
-
 def _sub_of(analysis):
     """The SubtransitiveGraph inside an analysis result, or None."""
     from repro.core.hybrid import HybridResult
@@ -122,7 +109,7 @@ def _sub_of(analysis):
     return None
 
 
-def _lint_section(program, analysis, profiler=None) -> Dict[str, object]:
+def _lint_section(program, analysis) -> Dict[str, object]:
     """Run the lint passes and shape them for the result envelope.
 
     Timings (``pass_seconds``) are deliberately dropped: the envelope
@@ -137,7 +124,7 @@ def _lint_section(program, analysis, profiler=None) -> Dict[str, object]:
         # timeout-degrade re-run): route it through the lint driver's
         # standard-CFA fallback path.
         analysis = HybridResult("standard", analysis)
-    result = run_lints(program, analysis, profiler=profiler)
+    result = run_lints(program, analysis)
     counts: Dict[str, int] = {}
     for finding in result.findings:
         counts[finding.rule] = counts.get(finding.rule, 0) + 1
@@ -176,40 +163,53 @@ def _audit_section(program, analysis) -> Dict[str, object]:
     return audit_section(program, analysis)
 
 
-#: Algorithms whose drivers accept the ``profiler=`` kwarg. The
-#: standard/cubic algorithms have no span sites; profiled jobs running
-#: them still get the job-stage spans (parse/analyze/lint/...).
-_PROFILED_ALGORITHMS = ("subtransitive", "hybrid", "polyvariant")
+#: Algorithms that build a subtransitive graph (and so take a
+#: ``graph_backend``).
+_GRAPH_ALGORITHMS = ("subtransitive", "hybrid", "polyvariant")
 
 
 def _analyze(payload: Dict[str, object]) -> Dict[str, object]:
+    """Run one job; with ``profile`` set, under a span profiler bound
+    in the request context, whose folded stacks ride the response."""
+    if not payload.get("profile"):
+        return _analyze_job(payload)
+    from repro.obs.events import bind_request, current_request
+    from repro.obs.profile import SpanProfiler
+
+    outer = current_request()
+    profiler = SpanProfiler()
+    with bind_request(
+        outer.request_id if outer is not None else None,
+        log=outer.log if outer is not None else None,
+        profiler=profiler,
+    ):
+        response = _analyze_job(payload)
+    # The profile rides the *response*, never the envelope: the
+    # envelope is content-addressed and must stay byte-stable for
+    # equal inputs, and wall-clock spans never are. Cache hits
+    # therefore carry no profile (documented in docs/SERVICE.md).
+    response["profile"] = profiler.folded()
+    return response
+
+
+def _analyze_job(payload: Dict[str, object]) -> Dict[str, object]:
     import repro
     from repro.core.hybrid import HybridResult
     from repro.errors import AnalysisBudgetExceeded, TypeInferenceError
     from repro.export import result_fingerprint, result_to_dict
+    from repro.obs.events import span as stage
 
     options: Dict[str, object] = payload["options"]
-    profiler = None
-    if payload.get("profile"):
-        from repro.obs.profile import SpanProfiler
-
-        profiler = SpanProfiler()
-
-    def stage(name):
-        return profiler.span(name) if profiler is not None else _NO_SPAN
-
     with stage("job.parse"):
         program = repro.parse(payload["source"])
     status = "ok"
     fallback_reason = None
     analyze_kwargs = {}
-    if profiler is not None and options["algorithm"] in _PROFILED_ALGORITHMS:
-        analyze_kwargs["profiler"] = profiler
     backend = options.get("graph_backend")
     if (
         backend
         and backend != "object"
-        and options["algorithm"] in _PROFILED_ALGORITHMS
+        and options["algorithm"] in _GRAPH_ALGORITHMS
     ):
         # Backend choice never changes the envelope (the CSR core is
         # result-identical by construction), so cached results remain
@@ -242,9 +242,7 @@ def _analyze(payload: Dict[str, object]) -> Dict[str, object]:
     envelope = result_to_dict(analysis)
     if options.get("lint"):
         with stage("job.lint"):
-            envelope["lint"] = _lint_section(
-                program, analysis, profiler=profiler
-            )
+            envelope["lint"] = _lint_section(program, analysis)
     if options.get("sanitize"):
         with stage("job.sanitize"):
             envelope["sanitize"] = _sanitize_section(analysis)
@@ -258,12 +256,6 @@ def _analyze(payload: Dict[str, object]) -> Dict[str, object]:
         "fingerprint": result_fingerprint(envelope),
         "error": None,
     }
-    if profiler is not None:
-        # The profile rides the *response*, never the envelope: the
-        # envelope is content-addressed and must stay byte-stable for
-        # equal inputs, and wall-clock spans never are. Cache hits
-        # therefore carry no profile (documented in docs/SERVICE.md).
-        response["profile"] = profiler.folded()
     section = envelope.get("sanitize")
     if section is not None and not section["ok"]:
         # A sanitizer violation means the engine produced a graph it

@@ -53,6 +53,7 @@ from repro.lang.parser import parse_expr
 from repro.lang.rename import alpha_rename
 from repro.core.lc import LCEngine
 from repro.core.nodes import Node
+from repro.obs.events import engine_emitter
 
 #: Sentinel distinguishing "name was never bound" from "bound to
 #: None" when restoring the evaluation environment.
@@ -202,7 +203,6 @@ class AnalysisSession:
         max_depth: int = 24,
         fuel: int = 1_000_000,
         registry=None,
-        tracer=None,
         graph_backend: str = "object",
     ):
         ensure_recursion_limit()
@@ -215,7 +215,6 @@ class AnalysisSession:
             node_budget=node_budget,
             max_depth=max_depth,
             registry=registry,
-            tracer=tracer,
             graph_backend=graph_backend,
         )
         self.fuel = fuel
@@ -246,12 +245,16 @@ class AnalysisSession:
         self, op: str, name: Optional[str], fn
     ):
         """Run ``fn`` under the session timer and append its graph
-        delta (nodes/edges added, seconds) to :attr:`history`."""
+        delta (nodes/edges added, seconds) to :attr:`history`.
+
+        This is the session's one entry point into the engine: the
+        bound request's event log and span profiler instrument ``fn``
+        and nothing after it."""
         engine = self.engine
         nodes_before = engine.factory.node_count
         edges_before = engine.graph.edge_count
         timer = engine.stats.registry.timer(f"session.{op}")
-        with timer:
+        with engine.instrumented(), timer:
             result = fn()
         entry: Dict[str, object] = {
             "op": op,
@@ -262,8 +265,9 @@ class AnalysisSession:
         }
         self.history.append(entry)
         self.graph_version += 1
-        if engine.tracer is not None:
-            engine.tracer.emit("session", **entry)
+        trace = engine_emitter("session")
+        if trace is not None:
+            trace("session", **entry)
         return result
 
     # -- defining ------------------------------------------------------------

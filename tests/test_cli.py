@@ -146,17 +146,20 @@ class TestObservabilityFlags:
         assert f"wrote metrics to {target}" in capsys.readouterr().err
 
     def test_trace_written_as_jsonl(self, demo_file, tmp_path, capsys):
+        from repro.obs import validate_event
+
         target = tmp_path / "trace.jsonl"
         assert main(["analyze", demo_file, "--trace", str(target)]) == 0
         lines = target.read_text().splitlines()
         assert lines
-        events = [json.loads(line) for line in lines]
-        assert events[0] == {
-            "seq": 0,
-            "kind": "phase",
-            "phase": "build",
-            "action": "start",
-        }
+        events = [validate_event(json.loads(line)) for line in lines]
+        first = events[0]
+        assert (first["seq"], first["kind"], first["component"]) == (
+            0, "phase", "core",
+        )
+        assert (first["phase"], first["action"]) == ("build", "start")
+        # One request id stamps the whole trace.
+        assert len({event["request_id"] for event in events}) == 1
         assert any(event["kind"] == "rule" for event in events)
         err = capsys.readouterr().err
         assert f"wrote trace to {target} ({len(events)} events)" in err

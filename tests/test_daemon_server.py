@@ -214,3 +214,90 @@ class TestSocketEndToEnd:
                 break
             threading.Event().wait(0.01)
         assert not os.path.exists(endpoint)
+
+
+class TestDaemonProcess:
+    """``repro daemon start`` as a real process: frame limits and a
+    clean stop, judged by the daemon's own stderr."""
+
+    @pytest.fixture()
+    def daemon(self, tmp_path):
+        import subprocess
+        import sys
+
+        path = str(tmp_path / "repro.sock")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "daemon", "start",
+             "--socket", path],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for _ in range(500):
+            if os.path.exists(path) or proc.poll() is not None:
+                break
+            threading.Event().wait(0.01)
+        assert os.path.exists(path), proc.stderr.read()
+
+        def stop():
+            subprocess.run(
+                [sys.executable, "-m", "repro", "daemon", "stop",
+                 "--socket", path],
+                capture_output=True, timeout=30, check=True,
+            )
+            _, err = proc.communicate(timeout=30)
+            assert proc.returncode == 0, err
+            return err
+
+        yield path, stop
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+
+    @staticmethod
+    def _frame(source):
+        record = request_record(
+            1, "define", project="p", name="big", source=source
+        )
+        return (json.dumps(record) + "\n").encode("utf-8")
+
+    def test_frames_up_to_the_limit_and_over_it(self, daemon):
+        import socket
+
+        from repro.daemon.server import MAX_FRAME_BYTES
+
+        path, stop = daemon
+        # A 70 KB define is far past asyncio's 64 KiB default.
+        source = "fn[big] x =>" + " " * 70_000 + "x"
+        with DaemonClient(socket_path=path) as client:
+            assert client.define("p", "big", source)["delta"] is True
+        frame = self._frame("fn x =>" + " " * MAX_FRAME_BYTES + "x")
+        assert len(frame) > MAX_FRAME_BYTES
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.connect(path)
+            handle = sock.makefile("rwb")
+            handle.write(frame)
+            handle.flush()
+            response = json.loads(handle.readline())
+            # ...then the daemon closes the connection.
+            assert handle.readline() == b""
+        assert response["status"] == "error"
+        assert response["id"] is None
+        assert str(MAX_FRAME_BYTES) in response["error"]
+        with DaemonClient(socket_path=path) as client:
+            events = client.telemetry()["events"]
+            # The daemon keeps serving after the rejected frame.
+            assert client.query_name("p", "big")["labels"] == ["big"]
+        (rejected,) = [e for e in events if e["kind"] == "frame_rejected"]
+        assert rejected["request_id"] == response["request_id"]
+        assert "Traceback" not in stop()
+
+    def test_stop_with_an_idle_client_connected(self, daemon):
+        import socket
+
+        path, stop = daemon
+        with socket.socket(socket.AF_UNIX) as idle:
+            idle.connect(path)
+            err = stop()
+        assert "Traceback" not in err
+        assert "Exception" not in err

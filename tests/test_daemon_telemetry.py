@@ -186,6 +186,36 @@ class TestTelemetryVerb:
                 for line in entry["profile"]
             ), entry
 
+    def test_slow_lint_profile_reaches_the_flow_layer(self, endpoint):
+        # The lint verb's capture descends below the verb: one span per
+        # lint pass, with the fused flow sweep nested under a pass.
+        path, _, _ = endpoint
+        ids = []
+        with DaemonClient(socket_path=path) as client:
+            for name, source in (
+                ("id", "fn x => x"),
+                ("use", "id (fn[l1] y => y)"),
+            ):
+                client.define("demo", name, source)
+                ids.append(("define", client.last_request_id))
+                client.lint("demo")
+                ids.append(("lint", client.last_request_id))
+            document = client.telemetry()
+        profiles = {e["request_id"]: e["profile"] for e in document["slow"]}
+        for verb, rid in ids:
+            stacks = [line.rpartition(" ")[0] for line in profiles[rid]]
+            # Consecutive requests on one warm project share no frames:
+            # every stack is rooted at the request's own verb.
+            assert all(
+                stack.split(";")[0] == f"verb.{verb}" for stack in stacks
+            ), (verb, stacks)
+            if verb == "lint":
+                assert any(s.startswith("verb.lint;lint.") for s in stacks)
+                assert any(
+                    s.startswith("verb.lint;lint.") and ";flow." in s
+                    for s in stacks
+                ), stacks
+
     def test_status_uptime_events_hits(self, endpoint):
         path, _, _ = endpoint
         with DaemonClient(socket_path=path) as client:

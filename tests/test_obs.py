@@ -1,4 +1,4 @@
-"""The observability subsystem: metric primitives, tracing, the
+"""The observability subsystem: metric primitives, engine events, the
 ``repro.metrics/1`` export schema, and the engine-accounting
 invariants they surface.
 
@@ -21,13 +21,14 @@ from repro.core.queries import analyze_subtransitive
 from repro.errors import AnalysisBudgetExceeded
 from repro.lang import parse
 from repro.obs import (
-    EVENT_KINDS,
+    ENGINE_EVENT_KINDS,
+    EventLog,
     MetricsRegistry,
-    NULL_TRACER,
     SCHEMA,
-    Tracer,
+    bind_request,
     collect_metrics,
     metrics_to_json,
+    validate_event,
     validate_metrics,
 )
 from repro.session import AnalysisSession
@@ -85,47 +86,71 @@ class TestPrimitives:
         json.dumps(snap)
 
 
+def engine_log(**kwargs):
+    """An event log that asked for engine events (what ``--trace``
+    binds)."""
+    return EventLog(engine_events=True, **kwargs)
+
+
 class TestTracer:
+    """The engine trace: an engine-event log bound around a run."""
+
     def test_ring_buffer_bounds_memory(self):
-        tracer = Tracer(capacity=4)
-        for i in range(10):
-            tracer.emit("rule", rule="ABS-1", n=i)
-        assert tracer.event_count == 10
-        assert tracer.dropped == 6
-        buffered = tracer.events()
-        assert len(buffered) == 4
-        assert [e["n"] for e in buffered] == [6, 7, 8, 9]
-        assert [e["seq"] for e in buffered] == [6, 7, 8, 9]
+        log = engine_log(capacity=4)
+        with bind_request(log=log):
+            repro.analyze(parse(SAMPLES[2]))
+        assert log.emitted > 4
+        assert log.dropped == log.emitted - 4
+        buffered = log.events()
+        assert [e["seq"] for e in buffered] == list(
+            range(log.emitted - 4, log.emitted)
+        )
 
     def test_kind_filter(self):
-        tracer = Tracer()
-        tracer.emit("phase", phase="build", action="start")
-        tracer.emit("rule", rule="APP-1")
-        assert len(tracer.events("rule")) == 1
-        assert tracer.events("rule")[0]["rule"] == "APP-1"
+        log = engine_log()
+        with bind_request(log=log):
+            repro.analyze(parse(SAMPLES[0]))
+        rules = log.events("rule")
+        assert rules
+        assert {e["rule"] for e in rules} == {"ABS", "APP"}
+        assert all(e["component"] == "core" for e in rules)
 
     def test_jsonl_sink_path(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        with Tracer(sink=str(path)) as tracer:
-            tracer.emit("phase", phase="build", action="start")
-            tracer.rule("CLOSE-COV", "a", "b", "close")
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        first, second = (json.loads(line) for line in lines)
-        assert first["kind"] == "phase"
-        assert second == {
-            "seq": 1,
-            "kind": "rule",
-            "rule": "CLOSE-COV",
-            "src": "a",
-            "dst": "b",
-            "phase": "close",
-        }
+        log = engine_log(sink_path=str(path), sink_bytes=None)
+        with bind_request("req-trace", log=log):
+            repro.analyze(parse(SAMPLES[0]))
+        log.close()
+        events = [
+            validate_event(json.loads(line))
+            for line in path.read_text().splitlines()
+        ]
+        assert len(events) == log.emitted
+        assert [e["seq"] for e in events] == list(range(len(events)))
+        assert {e["request_id"] for e in events} == {"req-trace"}
+        assert events[0]["kind"] == "phase"
 
-    def test_null_tracer_is_inert(self):
-        NULL_TRACER.emit("rule", rule="ABS-1")
-        assert NULL_TRACER.events() == []
-        assert NULL_TRACER.event_count == 0
+    def test_aggregate_log_gets_no_engine_events(self):
+        # The daemon and batch logs keep to per-request aggregates:
+        # an engine run under a default log emits nothing onto it.
+        log = EventLog()
+        with bind_request(log=log):
+            repro.analyze(parse(SAMPLES[0]))
+        assert log.emitted == 0
+
+    def test_sink_never_holds_the_whole_trace(self, tmp_path):
+        from repro.obs.events import SINK_FLUSH_EVENTS
+
+        path = tmp_path / "trace.jsonl"
+        log = engine_log(sink_path=str(path), sink_bytes=None)
+        with bind_request(log=log):
+            repro.analyze(make_cubic_program(12))
+        assert log.emitted > SINK_FLUSH_EVENTS
+        # Written in fixed-size batches while the run was going.
+        written = len(path.read_text().splitlines())
+        assert written >= log.emitted - SINK_FLUSH_EVENTS
+        log.close()
+        assert len(path.read_text().splitlines()) == log.emitted
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +159,15 @@ class TestTracer:
 
 class TestEngineTracing:
     def test_engine_emits_known_kinds_in_order(self):
-        tracer = Tracer()
-        cfa = repro.analyze(parse(SAMPLES[0]), tracer=tracer)
+        log = engine_log()
+        with bind_request(log=log):
+            cfa = repro.analyze(parse(SAMPLES[0]))
         for site in cfa.program.applications:
             cfa.may_call(site)
-        kinds = {e["kind"] for e in tracer.events()}
-        assert kinds <= set(EVENT_KINDS)
+        kinds = {e["kind"] for e in log.events()}
+        assert kinds <= set(ENGINE_EVENT_KINDS)
         assert {"phase", "rule", "edge"} <= kinds
-        phases = [
-            (e["phase"], e["action"]) for e in tracer.events("phase")
-        ]
+        phases = [(e["phase"], e["action"]) for e in log.events("phase")]
         assert phases == [
             ("build", "start"),
             ("build", "end"),
@@ -155,8 +179,47 @@ class TestEngineTracing:
         from repro.core.lc import LCEngine
 
         engine = LCEngine(parse(SAMPLES[0]))
-        assert engine.tracer is None
-        engine.run()  # must not emit (or fail) without a tracer
+        assert engine.trace is None
+        engine.run()  # must not emit (or fail) with nothing bound
+
+    def test_engine_keeps_no_instruments_after_a_run(self):
+        from repro.core.lc import LCEngine
+
+        engine = LCEngine(parse(SAMPLES[0]))
+        with bind_request(log=engine_log()):
+            engine.run()
+        assert engine.trace is None
+        assert engine.factory.trace is None
+        assert engine.profiler is None
+
+    def test_hybrid_fallback_is_a_budget_event(self):
+        log = engine_log()
+        with bind_request(log=log):
+            result = analyze_hybrid(
+                parse("(fn[w] x => x x) (fn[w2] y => y y)")
+            )
+        assert result.engine == "standard"
+        budget = log.events("budget")
+        assert budget[-1]["resource"] == "hybrid"
+        assert budget[-1]["action"] == "fallback"
+
+    def test_session_events(self):
+        log = engine_log()
+        session = AnalysisSession()
+        with bind_request(log=log):
+            session.define("id", "fn[id] x => x")
+            session.define("use", "id id")
+        entries = log.events("session")
+        assert [(e["op"], e["name"]) for e in entries] == [
+            ("define", "id"),
+            ("define", "use"),
+        ]
+        assert all(e["component"] == "session" for e in entries)
+        # The session's engine work is traced under the same request.
+        assert log.events("edge")
+        # Nothing bound, nothing recorded: the session keeps no log.
+        session.define("more", "use")
+        assert len(log.events("session")) == 2
 
 
 class TestCloseRuleAccounting:
@@ -354,27 +417,34 @@ class TestTimerDistribution:
 
 class TestTracerSinkLifecycle:
     def test_sink_flushed_when_analysed_program_raises(self, tmp_path):
-        # Regression: a path-opened sink must be flushed and closed
-        # even when the analysis aborts mid-run (budget trip) — the
-        # partial trace is exactly what the post-mortem needs.
+        # A mid-run budget trip must still leave the partial trace on
+        # disk once the log is closed — it is exactly what the
+        # post-mortem needs.
         path = tmp_path / "trace.jsonl"
-        with pytest.raises(AnalysisBudgetExceeded):
-            with Tracer(sink=str(path)) as tracer:
-                analyze_subtransitive(
-                    make_cubic_program(8), node_budget=5, tracer=tracer
-                )
-        assert tracer._sink is None  # owned handle released
-        lines = path.read_text().splitlines()
-        assert lines  # the events up to the abort reached disk
-        events = [json.loads(line) for line in lines]
+        log = engine_log(sink_path=str(path), sink_bytes=None)
+        try:
+            with pytest.raises(AnalysisBudgetExceeded):
+                with bind_request(log=log):
+                    analyze_subtransitive(
+                        make_cubic_program(8), node_budget=5
+                    )
+        finally:
+            log.close()
+        events = [
+            validate_event(json.loads(line))
+            for line in path.read_text().splitlines()
+        ]
+        assert events  # the events up to the abort reached disk
         assert events[-1]["seq"] == len(events) - 1
-        assert tracer.event_count == len(events)
+        assert log.emitted == len(events)
+        assert events[-1]["kind"] == "budget"
+        assert events[-1]["action"] == "exhausted"
 
     def test_close_is_idempotent(self, tmp_path):
-        tracer = Tracer(sink=str(tmp_path / "t.jsonl"))
-        tracer.emit("phase", phase="build", action="start")
-        tracer.close()
-        tracer.close()  # second close must be a no-op, not a crash
+        log = engine_log(sink_path=str(tmp_path / "t.jsonl"))
+        log.emit("phase", phase="build", action="start")
+        log.close()
+        log.close()  # second close must be a no-op, not a crash
 
 
 # ---------------------------------------------------------------------------
@@ -389,26 +459,11 @@ class TestRingBufferProperties:
             st.sampled_from(["rule", "edge", "demand"]), max_size=64
         ),
     )
-    def test_event_count_includes_rotated_events(self, capacity, kinds):
-        tracer = Tracer(capacity=capacity)
-        for kind in kinds:
-            tracer.emit(kind)
-        assert tracer.event_count == len(kinds)
-        assert len(tracer.events()) == min(len(kinds), capacity)
-        assert tracer.dropped == max(0, len(kinds) - capacity)
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        capacity=st.integers(min_value=1, max_value=16),
-        kinds=st.lists(
-            st.sampled_from(["rule", "edge", "demand"]), max_size=64
-        ),
-    )
     def test_kind_filter_preserves_seq_order(self, capacity, kinds):
-        tracer = Tracer(capacity=capacity)
+        log = EventLog(capacity=capacity)
         for kind in kinds:
-            tracer.emit(kind)
-        seqs = [event["seq"] for event in tracer.events("rule")]
+            log.emit(kind)
+        seqs = [event["seq"] for event in log.events("rule")]
         assert seqs == sorted(seqs)
         # And it is exactly the buffered subsequence of that kind.
         expected = [

@@ -1,11 +1,11 @@
 """The span profiler: tree mechanics, folded-stack export, engine
-threading, exception balance, and the serve-layer plumbing.
+binding, exception balance, and the serve-layer plumbing.
 
-The profiler's contract mirrors the tracer's: strictly opt-in
-(``profiler=None`` everywhere, one ``is not None`` test per site), so
-the acceptance criterion is structural — profiled runs must produce a
-well-formed folded-stack export whose top-level spans are the engine
-phases, while unprofiled runs never touch a profiler at all.
+A profiler records only while bound into the request context
+(``bind_request(profiler=...)``), and every engine reads it once per
+entry point, so the acceptance criterion is structural — profiled runs
+must produce a well-formed folded-stack export whose top-level spans
+are the engine phases, while unprofiled runs never touch a profiler.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from repro.core.queries import analyze_subtransitive
 from repro.errors import AnalysisBudgetExceeded
 from repro.lang import parse
 from repro.lint import run_lints
-from repro.obs import Span, SpanProfiler, validate_folded
+from repro.obs import Span, SpanProfiler, bind_request, validate_folded
 from repro.workloads.cubic import make_cubic_program
 
 SOURCE = (
@@ -123,7 +123,8 @@ class TestEngineProfile:
     def test_profiled_run_has_phase_spans(self):
         profiler = SpanProfiler()
         program = make_cubic_program(8)
-        cfa = analyze_subtransitive(program, profiler=profiler)
+        with bind_request(profiler=profiler):
+            cfa = analyze_subtransitive(program)
         for site in program.nontrivial_applications():
             cfa.may_call(site)
         paths = {path for path, _ in profiler.walk()}
@@ -144,31 +145,43 @@ class TestEngineProfile:
 
         engine = LCEngine(parse(SOURCE))
         assert engine.profiler is None
-        engine.run()  # the None default must not be touched by a run
+        engine.run()  # nothing bound: no profiler to touch
+        profiler = SpanProfiler()
+        with bind_request(profiler=profiler):
+            engine.run()
+        # Read for the run only, never kept on the engine.
+        assert engine.profiler is None
+        assert ("phase.build",) in dict(profiler.walk())
 
     def test_lint_spans(self):
         profiler = SpanProfiler()
         program = parse(SOURCE)
-        cfa = analyze_subtransitive(program, profiler=profiler)
-        run_lints(program, cfa, profiler=profiler)
+        with bind_request(profiler=profiler):
+            cfa = analyze_subtransitive(program)
+            run_lints(program, cfa)
         paths = {path for path, _ in profiler.walk()}
         assert any(path[0].startswith("lint.") for path in paths)
+        # The fused flow sweep nests under the pass that demanded it.
+        assert any(
+            len(path) == 2
+            and path[0].startswith("lint.")
+            and path[1].startswith("flow.")
+            for path in paths
+        )
         validate_folded(profiler.folded())
 
     def test_budget_trip_leaves_profiler_balanced(self):
         profiler = SpanProfiler()
         with pytest.raises(AnalysisBudgetExceeded):
-            analyze_subtransitive(
-                make_cubic_program(8), node_budget=5, profiler=profiler
-            )
+            with bind_request(profiler=profiler):
+                analyze_subtransitive(make_cubic_program(8), node_budget=5)
         assert profiler.depth == 0
         validate_folded(profiler.folded())
 
     def test_hybrid_fallback_profiles_both_attempts(self):
         profiler = SpanProfiler()
-        hybrid = analyze_hybrid(
-            make_cubic_program(8), node_budget=5, profiler=profiler
-        )
+        with bind_request(profiler=profiler):
+            hybrid = analyze_hybrid(make_cubic_program(8), node_budget=5)
         assert hybrid.engine == "standard"
         paths = {path for path, _ in profiler.walk()}
         # The abandoned LC' attempt and the fallback both show up.
@@ -177,9 +190,14 @@ class TestEngineProfile:
         assert profiler.depth == 0
 
     def test_analyze_kwarg_dispatch(self):
-        profiler = SpanProfiler()
-        repro.analyze(parse(SOURCE), profiler=profiler)
-        assert profiler.total_seconds() > 0.0
+        # Whichever driver ``algorithm=`` dispatches to reads the
+        # bound profiler; nothing is passed through analyze itself.
+        for algorithm in ("subtransitive", "hybrid", "polyvariant"):
+            profiler = SpanProfiler()
+            with bind_request(profiler=profiler):
+                repro.analyze(parse(SOURCE), algorithm=algorithm)
+            assert ("phase.close",) in dict(profiler.walk()), algorithm
+            assert profiler.total_seconds() > 0.0
 
 
 class TestServeProfile:
@@ -196,6 +214,23 @@ class TestServeProfile:
         assert result.profile is not None
         validate_folded(result.profile)
         assert "profile" not in (result.envelope or {})
+        stacks = {line.rpartition(" ")[0] for line in result.profile}
+        assert "job.analyze;phase.close" in stacks
+
+    @pytest.mark.parametrize(
+        "algorithm", ["standard", "dtc", "equality", "polyvariant"]
+    )
+    def test_profile_covers_every_algorithm(self, algorithm):
+        from repro.serve import BatchRunner, jobs_from_sources
+
+        runner = BatchRunner(
+            jobs=1, profile=True,
+            options={"algorithm": algorithm, "lint": True},
+        )
+        (result,) = runner.run(jobs_from_sources([SOURCE])).results
+        validate_folded(result.profile)
+        stacks = {line.rpartition(" ")[0] for line in result.profile}
+        assert {"job.parse", "job.analyze", "job.lint"} <= stacks
 
     def test_profile_off_by_default(self):
         from repro.serve import jobs_from_sources

@@ -15,7 +15,8 @@ from repro.cli import main
 from repro.core.queries import analyze_subtransitive
 from repro.lang import parse
 from repro.obs import (
-    Tracer,
+    EventLog,
+    bind_request,
     collect_metrics,
     demand_waterfall,
     node_hotspots,
@@ -26,7 +27,6 @@ from repro.obs import (
 )
 from repro.obs.tracetools import (
     completeness,
-    is_event_stream,
     render_top,
     render_waterfall,
 )
@@ -42,23 +42,27 @@ SOURCE = (
 def traced_run(tmp_path_factory):
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
     program = make_cubic_program(8)
-    tracer = Tracer(capacity=16, sink=str(path))  # tiny ring on purpose
-    cfa = analyze_subtransitive(program, tracer=tracer)
-    tracer.close()
+    log = EventLog(  # tiny ring on purpose
+        capacity=16, sink_path=str(path), sink_bytes=None,
+        engine_events=True,
+    )
+    with bind_request(log=log):
+        cfa = analyze_subtransitive(program)
+    log.close()
     metrics = validate_metrics(collect_metrics(cfa))
-    return str(path), metrics, tracer
+    return str(path), metrics, log
 
 
 class TestReadEvents:
     def test_reads_sink_file(self, traced_run):
-        path, _, tracer = traced_run
+        path, _, log = traced_run
         events = read_events(path)
-        # The sink got every event, ring rotation notwithstanding.
-        assert len(events) == tracer.event_count
-        assert len(events) > tracer.capacity
+        # The sink got every event, ring overflow notwithstanding.
+        assert len(events) == log.emitted
+        assert len(events) > log.capacity
 
     def test_accepts_parsed_dicts_and_lines(self):
-        events = [{"seq": 0, "kind": "demand", "node": "x"}]
+        events = [EventLog().emit("demand", component="core", node="x")]
         assert read_events(events) == events
         assert read_events([json.dumps(events[0])]) == events
 
@@ -66,9 +70,11 @@ class TestReadEvents:
         with pytest.raises(ValueError, match="line 1"):
             read_events(["{nope"])
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown event kind"):
-            read_events([{"seq": 0, "kind": "mystery"}])
+    def test_rejects_empty_kind(self):
+        record = EventLog().emit("demand")
+        record["kind"] = ""
+        with pytest.raises(ValueError, match="line 1.*kind"):
+            read_events([record])
 
     def test_rejects_missing_seq(self):
         with pytest.raises(ValueError, match="seq"):
@@ -84,9 +90,9 @@ class TestCompleteness:
         assert report["gaps"] == 0
 
     def test_buffer_dump_after_rotation_is_incomplete(self, traced_run):
-        _, _, tracer = traced_run
-        assert tracer.dropped > 0
-        report = completeness(tracer.events())
+        _, _, log = traced_run
+        assert log.dropped > 0
+        report = completeness(log.events())
         assert report["complete"] is False
         assert report["first_seq"] > 0
 
@@ -169,8 +175,8 @@ class TestProvenance:
         assert report["problems"]
 
     def test_incomplete_trace_degrades_to_informational(self, traced_run):
-        _, metrics, tracer = traced_run
-        report = provenance_check(tracer.events(), metrics)
+        _, metrics, log = traced_run
+        report = provenance_check(log.events(), metrics)
         assert report["complete"] is False
         assert report["problems"] == []
 
@@ -184,8 +190,9 @@ class TestProvenance:
 
 
 class TestEventLogDialect:
-    """The reader sniffs ``repro.events/1`` frames, so the same CLI
-    (``obs top`` / ``obs waterfall``) covers both JSONL dialects."""
+    """One dialect: ``obs top`` / ``obs waterfall`` print the sections
+    a stream has records for, so request logs and engine traces go
+    through the same reader and CLI."""
 
     @pytest.fixture()
     def event_log(self, tmp_path):
@@ -214,15 +221,13 @@ class TestEventLogDialect:
         log.close()
         return path, log.events()
 
-    def test_read_events_sniffs_event_frames(self, event_log):
+    def test_read_events_validates_every_frame(self, event_log):
         path, emitted = event_log
-        events = read_events(path)
-        assert events == emitted
-        assert is_event_stream(events)
-        # Engine traces are not mistaken for event logs.
-        assert not is_event_stream(
-            [{"seq": 0, "kind": "demand", "node": "x"}]
-        )
+        assert read_events(path) == emitted
+        # A frame in the retired trace dialect (no ts/request_id) is
+        # malformed, not a second format.
+        with pytest.raises(ValueError, match="line 1"):
+            read_events([{"seq": 0, "kind": "demand", "node": "x"}])
 
     def test_read_events_rejects_malformed_event_frame(self, event_log):
         path, _ = event_log
@@ -236,7 +241,7 @@ class TestEventLogDialect:
         top = render_top(read_events(path), limit=5)
         assert "event mix" in top
         assert "request latency" in top
-        # And never the engine-trace report.
+        # No engine events, no engine sections.
         assert "rule hotspots" not in top
 
     def test_render_waterfall_dispatches_to_request_rows(self, event_log):
@@ -245,6 +250,15 @@ class TestEventLogDialect:
         assert "request waterfall" in out
         assert "req-0001" in out
         assert "demand waterfall" not in out
+
+    def test_mixed_stream_gets_both_reports(self, event_log, traced_run):
+        path, _ = event_log
+        trace, _, _ = traced_run
+        events = read_events(trace) + read_events(path)
+        top = render_top(events, limit=3)
+        assert "rule hotspots" in top and "request latency" in top
+        out = render_waterfall(events, limit=3)
+        assert "demand waterfall" in out and "request waterfall" in out
 
     def test_event_cli_paths(self, event_log, capsys):
         path, _ = event_log
@@ -299,3 +313,25 @@ class TestObsTraceCli:
         capsys.readouterr()
         assert main(["obs", "waterfall", trace, "--limit", "3"]) == 0
         assert "demand waterfall" in capsys.readouterr().out
+
+    def test_lint_trace_is_one_complete_event_stream(self, tmp_path, capsys):
+        source = tmp_path / "prog.ml"
+        source.write_text(SOURCE)
+        trace = tmp_path / "trace.jsonl"
+        metrics = tmp_path / "metrics.json"
+        argv = [
+            "lint", str(source), "--format", "json",
+            "--trace", str(trace), "--metrics", str(metrics),
+        ]
+        main(argv)
+        # A rerun starts the file afresh rather than appending.
+        main(argv)
+        events = read_events(str(trace))
+        assert completeness(events)["complete"] is True
+        kinds = {event["kind"] for event in events}
+        assert {"phase", "rule", "edge", "lint", "flow"} <= kinds
+        capsys.readouterr()
+        assert main(["obs", "top", str(trace), "--metrics", str(metrics)]) == 0
+        assert "close-edge provenance vs metrics: ok" in (
+            capsys.readouterr().out
+        )
