@@ -54,7 +54,7 @@ def _fused_sweep(program, sub, registry):
     return run_fused(analyses, flow, fuel=flow.default_fuel())
 
 
-def run_report(sizes=SIZES, graph_backend="object"):
+def run_report(sizes=SIZES):
     table = Table(
         ["n", "nodes", "edges", "n+e", "steps", "steps/(n+e)", "sweep t"],
         title="E16 — fused flow sweep over the subtransitive graph",
@@ -62,9 +62,7 @@ def run_report(sizes=SIZES, graph_backend="object"):
     rows = []
     for n in sizes:
         program = make_cubic_program(n)
-        sub = build_subtransitive_graph(
-            program, graph_backend=graph_backend
-        )
+        sub = build_subtransitive_graph(program)
         registry = MetricsRegistry()
 
         def run():

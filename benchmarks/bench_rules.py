@@ -68,7 +68,7 @@ def _rule_sweep(program, sub, registry, rule_set):
     return rule_set.run(ctx=flow, registry=registry)
 
 
-def run_report(sizes=SIZES, graph_backend="object"):
+def run_report(sizes=SIZES):
     table = Table(
         [
             "n", "n+e", "hand steps", "rule steps", "ratio",
@@ -80,9 +80,7 @@ def run_report(sizes=SIZES, graph_backend="object"):
     rows = []
     for n in sizes:
         program = make_cubic_program(n)
-        sub = build_subtransitive_graph(
-            program, graph_backend=graph_backend
-        )
+        sub = build_subtransitive_graph(program)
 
         hand_registry = MetricsRegistry()
         hand_seconds = time_call(

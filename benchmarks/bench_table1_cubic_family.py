@@ -33,12 +33,8 @@ REPORT_SIZES = [10, 20, 40, 80, 160]
 BENCH_SIZES = [20, 40, 80]
 
 
-def run_report(sizes=REPORT_SIZES, graph_backend="object"):
-    """Compute all Table 1 rows; returns (table, measurements).
-
-    ``graph_backend`` selects the LC' graph representation (``object``
-    or ``csr``); results are identical, timings are not.
-    """
+def run_report(sizes=REPORT_SIZES):
+    """Compute all Table 1 rows; returns (table, measurements)."""
     table = Table(
         [
             "n",
@@ -63,9 +59,7 @@ def run_report(sizes=REPORT_SIZES, graph_backend="object"):
 
         std_time = time_call(run_std, repeat=1)
 
-        sub = build_subtransitive_graph(
-            program, graph_backend=graph_backend
-        )
+        sub = build_subtransitive_graph(program)
         cfa = SubtransitiveCFA(sub)
         sites = program.nontrivial_applications()
 

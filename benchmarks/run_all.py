@@ -5,7 +5,8 @@ Usage::
     python benchmarks/run_all.py [--quick] [--metrics PATH | --no-metrics]
 
 Prints the reproduction of each experiment indexed in DESIGN.md (E1 -
-E21), in order. ``--quick`` shrinks the sweeps for a fast smoke run.
+E21; E17 is retired), in order. ``--quick`` shrinks the sweeps for a
+fast smoke run.
 EXPERIMENTS.md records a reference run of this script.
 
 Every run also writes a machine-readable metrics document (default
@@ -30,7 +31,6 @@ import bench_daemon
 import bench_equality_cfa
 import bench_flow
 import bench_frontend
-import bench_graph_backend
 import bench_hybrid
 import bench_joinpoint
 import bench_lint
@@ -251,22 +251,6 @@ def main(quick: bool = False, metrics_path=None) -> None:
     print(
         f"steps ~= {fit['slope']:.3f}*(n+e) + {fit['intercept']:.1f} "
         f"(R^2 = {fit['r2']:.5f})"
-    )
-
-    print("\n" + "=" * 72)
-    print("E17 (extra) — graph backends: object vs CSR")
-    print("=" * 72)
-    table, rows = bench_graph_backend.run_report(
-        sizes=[40, 80] if quick else bench_graph_backend.SIZES
-    )
-    record("E17", "graph backends: object vs CSR speedup", rows)
-    print(table.render())
-    last = rows[-1]
-    print(
-        f"n={last['n']}: identical envelopes; CSR speedup "
-        f"query {last['query_speedup']:.2f}x, "
-        f"flow {last['flow_speedup']:.2f}x, "
-        f"total {last['total_speedup']:.2f}x"
     )
 
     print("\n" + "=" * 72)

@@ -15,7 +15,7 @@ carrying the label when it is an abstraction.
 **Result interface.** :class:`CFAResult` is the common query surface
 (label sets per occurrence, callees per call site) that lets the test
 suite compare any two analyses and lets the CFA-consuming applications
-accept any backend.
+accept any analysis.
 """
 
 from __future__ import annotations

@@ -32,8 +32,7 @@ Usage (also available as ``python -m repro``)::
     repro obs req       ID (--events events.jsonl
                         | --socket PATH | --port N) [--json]
     repro daemon  start|stop|status (--socket PATH | --port N)
-                  [--graph-backend B] [--capacity N] [--events PATH]
-                  [--slow-ms MS] [--json]
+                  [--capacity N] [--events PATH] [--slow-ms MS] [--json]
     repro client  VERB (--socket PATH | --port N) [--project P]
                   [--name N] [--source EXPR | --file PATH] [--label L]
                   [--request-id ID] [--format json|prometheus]
@@ -228,7 +227,6 @@ def _cmd_analyze_many(args, paths: List[str]) -> int:
         jobs=1,
         options={
             "algorithm": args.algorithm,
-            "graph_backend": getattr(args, "graph_backend", "object"),
             "sanitize": bool(args.sanitize),
             "audit": bool(args.audit),
         },
@@ -279,17 +277,6 @@ def _cmd_analyze(args) -> int:
         return _cmd_analyze_many(args, paths)
     args.file = paths[0]
     program = _read_program(args.file)
-    kwargs = {}
-    backend = getattr(args, "graph_backend", "object")
-    if backend != "object":
-        if args.algorithm not in _INSTRUMENTED_ALGORITHMS:
-            print(
-                "error: --graph-backend requires one of: "
-                + ", ".join(_INSTRUMENTED_ALGORITHMS),
-                file=sys.stderr,
-            )
-            return 1
-        kwargs["graph_backend"] = backend
     if args.metrics or args.trace:
         if args.algorithm not in _INSTRUMENTED_ALGORITHMS:
             print(
@@ -300,7 +287,7 @@ def _cmd_analyze(args) -> int:
             return 1
     status = 0
     with _traced(args):
-        cfa = repro.analyze(program, algorithm=args.algorithm, **kwargs)
+        cfa = repro.analyze(program, algorithm=args.algorithm)
     audit = None
     if args.audit:
         from repro.flow.audit import audit_section
@@ -353,7 +340,6 @@ def _cmd_batch(args) -> int:
         timeout=args.timeout,
         options={
             "algorithm": args.algorithm,
-            "graph_backend": getattr(args, "graph_backend", "object"),
             "lint": bool(args.lint),
             "sanitize": bool(args.sanitize),
             "audit": bool(args.audit),
@@ -533,19 +519,12 @@ def _cmd_lint(args) -> int:
             with _traced(args):
                 program = _read_program(path)
                 registry = MetricsRegistry()
-                backend = getattr(args, "graph_backend", "object")
                 if args.algorithm == "subtransitive":
                     analysis = build_subtransitive_graph(
-                        program,
-                        registry=registry,
-                        graph_backend=backend,
+                        program, registry=registry
                     )
                 else:
-                    analysis = analyze_hybrid(
-                        program,
-                        registry=registry,
-                        graph_backend=backend,
-                    )
+                    analysis = analyze_hybrid(program, registry=registry)
                 result = run_lints(
                     program, analysis, registry=registry,
                     impl=args.impl, explain=args.explain,
@@ -1044,7 +1023,6 @@ def _cmd_daemon(args) -> int:
         # out (`repro daemon start --socket S &`).
         asyncio.run(
             run_daemon(
-                graph_backend=args.graph_backend,
                 capacity=args.capacity,
                 events_path=args.events,
                 slow_threshold_s=args.slow_ms / 1000.0,
@@ -1169,20 +1147,6 @@ def build_parser() -> argparse.ArgumentParser:
             "vs. actual LC' budget) to each result",
         )
 
-    def add_graph_backend(p):
-        from repro.graph import GRAPH_BACKENDS
-
-        p.add_argument(
-            "--graph-backend",
-            default="object",
-            choices=list(GRAPH_BACKENDS),
-            help="graph representation for the LC' engines: 'object' "
-            "(adjacency sets, the default) or 'csr' (flat-array "
-            "CSR core; identical results, faster on large graphs). "
-            "Only the subtransitive/hybrid/polyvariant engines "
-            "build a graph",
-        )
-
     p = sub.add_parser("analyze", help="print the call graph")
     p.add_argument(
         "files",
@@ -1204,7 +1168,6 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     p.add_argument("--json", action="store_true", help="JSON output")
-    add_graph_backend(p)
     p.add_argument(
         "--metrics",
         metavar="PATH",
@@ -1267,7 +1230,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="analysis engine (default: hybrid — total on untypeable "
         "programs)",
     )
-    add_graph_backend(p)
     p.add_argument(
         "--lint",
         action="store_true",
@@ -1325,7 +1287,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="hybrid (default) lints any program, falling back to "
         "standard CFA label sets when LC' is abandoned",
     )
-    add_graph_backend(p)
     p.add_argument(
         "--metrics",
         metavar="PATH",
@@ -1646,7 +1607,6 @@ def build_parser() -> argparse.ArgumentParser:
         "talk to a running daemon",
     )
     add_endpoint(p)
-    add_graph_backend(p)
     p.add_argument(
         "--capacity",
         type=int,

@@ -68,7 +68,6 @@ def analyze_hybrid(
     budget_factor: int = HYBRID_BUDGET_FACTOR,
     node_budget: Optional[int] = None,
     registry=None,
-    graph_backend: str = "object",
 ) -> HybridResult:
     """Try LC' with a linear node budget; fall back to the cubic
     standard algorithm if the budget trips.
@@ -92,7 +91,6 @@ def analyze_hybrid(
             program,
             node_budget=node_budget,
             registry=registry,
-            graph_backend=graph_backend,
         )
         return HybridResult("subtransitive", result, registry=registry)
     except (AnalysisBudgetExceeded, TypeInferenceError) as error:

@@ -45,8 +45,7 @@ from repro._util import ensure_recursion_limit
 from repro.errors import AnalysisBudgetExceeded
 from repro.obs.events import current_profiler, engine_emitter
 from repro.obs.metrics import MetricsRegistry
-from repro.graph import make_graph
-from repro.graph.digraph import Digraph
+from repro.graph.csr import CSRDigraph
 from repro.lang.ast import (
     App,
     Assign,
@@ -187,7 +186,7 @@ class SubtransitiveGraph:
         self,
         program: Program,
         factory: NodeFactory,
-        graph: Digraph,
+        graph: CSRDigraph,
         stats: LCStatistics,
         close_edges: FrozenSet[Tuple[Node, Node]] = frozenset(),
     ):
@@ -240,7 +239,6 @@ class LCEngine:
         instance_budget: int = 10_000,
         max_depth: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
-        graph_backend: str = "object",
     ):
         if congruence is not None and congruence.requires_types:
             if inference is None:
@@ -254,10 +252,7 @@ class LCEngine:
         self.factory = NodeFactory(
             program, congruence, inference, node_budget, max_depth,
         )
-        #: Which graph representation backs this run: ``"object"``
-        #: (the adjacency-set golden twin) or ``"csr"`` (flat arrays).
-        self.graph_backend = graph_backend
-        self.graph = make_graph(graph_backend)
+        self.graph = CSRDigraph()
         self.stats = LCStatistics(registry)
         #: Engine-event emitter and span profiler of the bound request
         #: (:mod:`repro.obs.events`), set by :meth:`instrumented` for
@@ -374,8 +369,8 @@ class LCEngine:
             self.graph.edge_count - self.stats.build_edges
         )
         # Compact the mutable adjacency before the read-heavy query/
-        # lint/flow phases (no-op on the object backend; later
-        # incremental mutation invalidates and rebuilds lazily).
+        # lint/flow phases (later incremental mutation invalidates and
+        # rebuilds lazily).
         self.graph.freeze()
         self._export_gauges()
         if trace is not None:
@@ -755,7 +750,6 @@ def build_subtransitive_graph(
     node_budget: Optional[int] = None,
     polyvariant_lets: Optional[frozenset] = None,
     registry: Optional[MetricsRegistry] = None,
-    graph_backend: str = "object",
 ) -> SubtransitiveGraph:
     """Run LC' on ``program`` and return the subtransitive graph.
 
@@ -764,9 +758,7 @@ def build_subtransitive_graph(
     ``make_congruence('exact')`` to force the exact node grammar.
     Type inference is attempted once up front to derive the Section 4
     type-template depth bound; untypeable programs run uncapped under
-    the node budget alone. ``graph_backend`` selects the graph
-    representation (``"object"`` | ``"csr"``); the analysis result is
-    identical either way.
+    the node budget alone.
 
     Raises :class:`AnalysisBudgetExceeded` if the program does not
     appear to be bounded-type (use :mod:`repro.core.hybrid` to fall
@@ -797,6 +789,5 @@ def build_subtransitive_graph(
         if inference is not None
         else None,
         registry=registry,
-        graph_backend=graph_backend,
     )
     return engine.run()

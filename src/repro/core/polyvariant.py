@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.graph.digraph import Digraph
 from repro.graph.reachability import reachable_from
 from repro.lang.ast import Expr, Lam, Let, Letrec, Program, Var
 
@@ -96,7 +95,6 @@ def analyze_polyvariant(
     instance_budget: int = 10_000,
     node_budget: Optional[int] = None,
     registry=None,
-    graph_backend: str = "object",
 ) -> SubtransitiveCFA:
     """Polyvariant subtransitive CFA.
 
@@ -106,8 +104,6 @@ def analyze_polyvariant(
     polyvariant algorithm to be linear-time by restricting
     polyvariance so that there is some global bound on the number of
     times each graph fragment is effectively duplicated").
-    ``graph_backend`` selects the graph representation; the
-    summarisation step's extended reachability works on both.
     """
     if binders is None:
         binders = choose_polyvariant_binders(program)
@@ -117,7 +113,6 @@ def analyze_polyvariant(
         polyvariant_lets=binders,
         instance_budget=instance_budget,
         registry=registry,
-        graph_backend=graph_backend,
     )
     return SubtransitiveCFA(engine.run())
 

@@ -23,13 +23,10 @@ applications can run on it directly.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from repro.cfa.base import CFAResult, FlowKey, ValueToken, labels_of_tokens
+from repro.cfa.base import CFAResult, FlowKey, ValueToken
 from repro.errors import QueryError
-from repro.graph.csr import CSRDigraph
-from repro.graph.reachability import reachable_from
 from repro.lang.ast import App, Con, Expr, Lam, Program, Record, Ref, Var
 
 from repro.core.lc import SubtransitiveGraph
@@ -57,9 +54,9 @@ class SubtransitiveCFA(CFAResult):
         registry = sub.stats.registry
         self._c_queries = registry.counter("queries.count")
         self._c_visited = registry.counter("queries.visited_nodes")
-        # CSR fast-path cache: ``(id, tokens)`` per token-bearing
+        # Per-node value index: ``(id, tokens)`` per token-bearing
         # graph node, invalidated when the graph grows (incremental
-        # updates); see :meth:`_csr_token_entries`.
+        # updates); see :meth:`_token_index`.
         self._token_entries: Optional[List] = None
         self._token_entries_nodes = -1
         self._label_entries: Optional[List] = None
@@ -106,12 +103,6 @@ class SubtransitiveCFA(CFAResult):
         # context); consumers dedup via sets or BFS marks.
         return self.factory.occurrences(kind, ident)
 
-    def _reachable(self, starts: Iterable[Node]) -> Set[Node]:
-        reached = reachable_from(self.graph, starts)
-        self._c_queries.inc()
-        self._c_visited.inc(len(reached))
-        return reached
-
     @staticmethod
     def _tokens_in(nodes: Iterable[Node]) -> Set[ValueToken]:
         tokens: Set[ValueToken] = set()
@@ -129,8 +120,8 @@ class SubtransitiveCFA(CFAResult):
                         tokens.add(expr)
         return tokens
 
-    def _csr_token_entries(self) -> List:
-        """``(id, (token, ...))`` for every token-bearing node the CSR
+    def _token_index(self) -> List:
+        """``(id, (token, ...))`` for every token-bearing node the
         graph contains, in id order. Rebuilt whenever the graph grew
         (an incremental update may intern new value nodes)."""
         graph = self.graph
@@ -157,9 +148,9 @@ class SubtransitiveCFA(CFAResult):
             self._token_entries_nodes = graph.node_count
         return self._token_entries
 
-    def _csr_label_entries(self) -> List:
+    def _label_index(self) -> List:
         """``(id, (label, ...))`` for every abstraction-bearing node —
-        the label-set projection of :meth:`_csr_token_entries`, so
+        the label-set projection of :meth:`_token_index`, so
         ``labels_of``/``may_call`` skip token materialisation."""
         graph = self.graph
         if (
@@ -185,7 +176,7 @@ class SubtransitiveCFA(CFAResult):
             self._label_entries_nodes = graph.node_count
         return self._label_entries
 
-    def _labels_at_csr(self, starts: List[Node]) -> FrozenSet[str]:
+    def _labels_at(self, starts: List[Node]) -> FrozenSet[str]:
         """Algorithm 2 restricted to labels: byte-mark reachability,
         then one pass over the label index. Counter accounting matches
         the token path exactly (one label-set materialisation, one
@@ -197,7 +188,7 @@ class SubtransitiveCFA(CFAResult):
         self._c_queries.inc()
         self._c_visited.inc(len(order) + len(extras))
         labels: Set[str] = set()
-        for idx, entry in self._csr_label_entries():
+        for idx, entry in self._label_index():
             if seen[idx]:
                 labels.update(entry)
         if extras:
@@ -208,7 +199,7 @@ class SubtransitiveCFA(CFAResult):
             )
         return frozenset(labels)
 
-    def _tokens_at_csr(self, starts: List[Node]) -> Set[ValueToken]:
+    def _tokens_at(self, starts: List[Node]) -> Set[ValueToken]:
         """Algorithm 2 on the flat arrays: byte-mark reachability,
         then one pass over the precomputed token index — no node-set
         materialisation."""
@@ -218,7 +209,7 @@ class SubtransitiveCFA(CFAResult):
         self._c_queries.inc()
         self._c_visited.inc(len(order) + len(extras))
         tokens: Set[ValueToken] = set()
-        for idx, entry in self._csr_token_entries():
+        for idx, entry in self._token_index():
             if seen[idx]:
                 tokens.update(entry)
         if extras:
@@ -229,20 +220,14 @@ class SubtransitiveCFA(CFAResult):
 
     def tokens_at(self, key: FlowKey) -> Set[ValueToken]:
         self._c_label_sets.inc()
-        if isinstance(self.graph, CSRDigraph):
-            return self._tokens_at_csr(self._start_nodes(key))
-        return self._tokens_in(self._reachable(self._start_nodes(key)))
+        return self._tokens_at(self._start_nodes(key))
 
     def labels_of(self, expr: Expr) -> FrozenSet[str]:
         self._check(expr)
-        if isinstance(self.graph, CSRDigraph):
-            return self._labels_at_csr(self._start_nodes(expr.nid))
-        return labels_of_tokens(self.tokens_at(expr.nid))
+        return self._labels_at(self._start_nodes(expr.nid))
 
     def labels_of_var(self, name: str) -> FrozenSet[str]:
-        if isinstance(self.graph, CSRDigraph):
-            return self._labels_at_csr(self._start_nodes(name))
-        return labels_of_tokens(self.tokens_at(name))
+        return self._labels_at(self._start_nodes(name))
 
     def is_label_in(self, label: str, expr: Expr) -> bool:
         """Algorithm 1: early-exit reachability to the abstraction."""
@@ -251,38 +236,19 @@ class SubtransitiveCFA(CFAResult):
         target_nodes = set(self._context_nodes("expr", target.nid))
         if not target_nodes:
             return False
-        if isinstance(self.graph, CSRDigraph):
-            found, visited = self.graph.reaches_any(
-                self._start_nodes(expr.nid), target_nodes
-            )
-            self._c_queries.inc()
-            self._c_visited.inc(visited)
-            return found
-        seen: Set[Node] = set()
-        queue = deque(self._start_nodes(expr.nid))
-        seen.update(queue)
-        try:
-            while queue:
-                node = queue.popleft()
-                if node in target_nodes:
-                    return True
-                for succ in self.graph.successors(node):
-                    if succ not in seen:
-                        seen.add(succ)
-                        queue.append(succ)
-            return False
-        finally:
-            self._c_queries.inc()
-            self._c_visited.inc(len(seen))
+        found, visited = self.graph.reaches_any(
+            self._start_nodes(expr.nid), target_nodes
+        )
+        self._c_queries.inc()
+        self._c_visited.inc(visited)
+        return found
 
     def expressions_with_label(self, label: str) -> List[Expr]:
         """The paper's third query, via *reverse* reachability from
         the abstraction — O(n), not O(n^2)."""
         target = self.program.abstraction(label)
         starts = list(self._context_nodes("expr", target.nid))
-        backwards = reachable_from(
-            self.graph, starts, follow=self.graph.predecessors
-        )
+        backwards = self.graph.reachable_set(starts, reverse=True)
         self._c_queries.inc()
         self._c_visited.inc(len(backwards))
         nids: Set[int] = set()
@@ -310,7 +276,12 @@ class SubtransitiveCFA(CFAResult):
     def reachable_nodes(self, expr: Expr, context: Context = ()) -> Set[Node]:
         """All graph nodes reachable from an occurrence (diagnostics)."""
         self._check(expr)
-        return self._reachable([self.factory.expr_node(expr, context)])
+        reached = self.graph.reachable_set(
+            [self.factory.expr_node(expr, context)]
+        )
+        self._c_queries.inc()
+        self._c_visited.inc(len(reached))
+        return reached
 
     def records_of(self, expr: Expr) -> Set[Record]:
         """Record creation sites that may flow to ``expr``."""
@@ -341,15 +312,12 @@ def analyze_subtransitive(
     node_budget: Optional[int] = None,
     polyvariant_lets: Optional[frozenset] = None,
     registry=None,
-    graph_backend: str = "object",
 ) -> SubtransitiveCFA:
     """Convenience: run LC' and wrap the result in the query layer.
 
     ``registry`` collects the run's counters; the bound request's
     event log and span profiler (:mod:`repro.obs.events`) instrument
-    it. ``graph_backend`` picks the graph representation
-    (``"object"`` adjacency sets or the ``"csr"`` flat-array core);
-    results are identical either way.
+    it.
     """
     from repro.core.lc import build_subtransitive_graph
 
@@ -360,6 +328,5 @@ def analyze_subtransitive(
         node_budget=node_budget,
         polyvariant_lets=polyvariant_lets,
         registry=registry,
-        graph_backend=graph_backend,
     )
     return SubtransitiveCFA(sub)

@@ -49,7 +49,7 @@ a full replay of the definition history, tagging the reason
 
 Either way the result is **byte-identical** to a cold analysis of
 :meth:`render_source` — the equivalence suite enforces this per
-operation, on both graph backends.
+operation.
 """
 
 from __future__ import annotations
@@ -229,11 +229,9 @@ class ProjectAnalysis:
 
     def __init__(
         self,
-        graph_backend: str = "object",
         node_budget: int = DAEMON_NODE_BUDGET,
         max_depth: int = DAEMON_MAX_DEPTH,
     ) -> None:
-        self.graph_backend = graph_backend
         self.node_budget = node_budget
         self.max_depth = max_depth
         self.defs: List[DefEntry] = []
@@ -255,7 +253,6 @@ class ProjectAnalysis:
             congruence=None,
             node_budget=self.node_budget,
             max_depth=self.max_depth,
-            graph_backend=self.graph_backend,
         )
         #: Insertion-ordered recorded closure edges (the warm twin of
         #: a cold run's ``close_edge_set``).
@@ -1114,7 +1111,6 @@ class ProjectAnalysis:
     @staticmethod
     def cold_cfa(
         source: str,
-        graph_backend: str = "object",
         node_budget: int = DAEMON_NODE_BUDGET,
         max_depth: int = DAEMON_MAX_DEPTH,
     ) -> SubtransitiveCFA:
@@ -1128,6 +1124,5 @@ class ProjectAnalysis:
             congruence=None,
             node_budget=node_budget,
             max_depth=max_depth,
-            graph_backend=graph_backend,
         )
         return SubtransitiveCFA(engine.run())

@@ -31,9 +31,9 @@ DEFAULT_CAPACITY = 8
 class ProjectState:
     """One project: a warm analysis plus its request lock."""
 
-    def __init__(self, name: str, graph_backend: str) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.analysis = ProjectAnalysis(graph_backend=graph_backend)
+        self.analysis = ProjectAnalysis()
         self.lock = asyncio.Lock()
 
     def snapshot_defs(self) -> List[Tuple[str, str]]:
@@ -48,13 +48,11 @@ class ProjectRegistry:
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
-        graph_backend: str = "object",
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.graph_backend = graph_backend
         self.registry = registry if registry is not None else MetricsRegistry()
         self._states: "OrderedDict[str, ProjectState]" = OrderedDict()
         #: Evicted projects' definition sources, awaiting rehydration.
@@ -82,7 +80,7 @@ class ProjectRegistry:
                        action="warm-hit", project=name)
             return state
         hits["cold"] += 1
-        state = ProjectState(name, self.graph_backend)
+        state = ProjectState(name)
         history = self._cold.pop(name, None)
         if history is not None:
             self._c_rehydrated.inc()

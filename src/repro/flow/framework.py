@@ -210,9 +210,9 @@ class FlowAnalysis:
         ``ctx.graph`` for every item, ``"seeds-only"`` when it is
         always empty, or ``None`` (the default) for anything else.
         The engine only acts on the declaration for boolean mark
-        analyses (identity transfer, or-join, set finish) on a CSR
-        graph, where the fixpoint is literally multi-source
-        reachability and runs as a bitset BFS over the frozen arrays
+        analyses (identity transfer, or-join, set finish), where the
+        fixpoint is literally multi-source reachability and runs as a
+        bitset BFS over the graph's frozen CSR arrays
         — with step/update/fuel accounting identical to the generic
         worklist, so metrics and results do not depend on the path
         taken."""
@@ -340,7 +340,7 @@ def _flat_plan(analysis, ctx, seed_map) -> Optional[str]:
     must run on the generic worklist. Eligibility is strict: boolean
     mark semantics (default transfer, or-join, set finish), a declared
     graph direction, all-``True`` seeds, and — for the BFS directions
-    — a CSR graph to run the bitset sweep on."""
+    — a graph to run the bitset sweep on."""
     cls = type(analysis)
     if cls.transfer is not FlowAnalysis.transfer:
         return None
@@ -355,8 +355,7 @@ def _flat_plan(analysis, ctx, seed_map) -> Optional[str]:
         return None
     if direction == "seeds-only":
         return direction
-    graph = ctx.graph
-    if graph is None or getattr(graph, "backend", None) != "csr":
+    if ctx.graph is None:
         return None
     return direction
 

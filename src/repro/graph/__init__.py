@@ -3,10 +3,11 @@
 The paper's central move is reducing control-flow analysis to *graph
 reachability* ("what we establish in this paper is a connection
 between control-flow analysis and graph reachability"). This package
-provides the graph machinery every analysis builds on: a compact
-adjacency-set digraph, BFS/DFS reachability, Tarjan's SCC algorithm,
-transitive closure, and a union-find (used by the equality-based CFA
-baseline).
+provides the graph machinery every analysis builds on: the flat-array
+:class:`CSRDigraph` every LC' graph is, an adjacency-set
+:class:`Digraph` for the cubic baselines' derived graphs (DTC,
+transitive closure, condensation), BFS/DFS reachability, Tarjan's SCC
+algorithm, and a union-find (used by the equality-based CFA baseline).
 """
 
 from repro.graph.closure import transitive_closure
@@ -20,31 +21,11 @@ from repro.graph.reachability import (
 from repro.graph.tarjan import condensation, strongly_connected_components
 from repro.graph.unionfind import UnionFind
 
-#: The selectable graph backends, by flag value.
-GRAPH_BACKENDS = ("object", "csr")
-
-
-def make_graph(backend: str = "object"):
-    """A fresh graph of the requested backend: ``"object"`` for the
-    adjacency-set :class:`Digraph` (the golden twin), ``"csr"`` for
-    the flat-array :class:`CSRDigraph`."""
-    if backend == "object":
-        return Digraph()
-    if backend == "csr":
-        return CSRDigraph()
-    raise ValueError(
-        f"unknown graph backend {backend!r}; expected one of "
-        f"{GRAPH_BACKENDS}"
-    )
-
-
 __all__ = [
     "CSRDigraph",
     "Digraph",
-    "GRAPH_BACKENDS",
     "Interner",
     "UnionFind",
-    "make_graph",
     "condensation",
     "reachable_from",
     "reachable_to",

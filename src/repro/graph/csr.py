@@ -1,10 +1,10 @@
-"""A flat-array graph backend: interned ids + CSR adjacency.
+"""The LC' graph representation: interned ids + CSR adjacency.
 
-The object :class:`~repro.graph.digraph.Digraph` keeps one Python
-``set`` per node and direction, which is flexible but pays hashing and
-pointer-chasing costs on every sweep. This module trades that for the
-classic compressed-sparse-row layout the paper's linear-time bound
-assumes is cheap:
+One Python ``set`` per node and direction (the adjacency-set
+:class:`~repro.graph.digraph.Digraph`) pays hashing and
+pointer-chasing costs on every sweep. Every subtransitive graph
+instead uses the classic compressed-sparse-row layout the paper's
+linear-time bound assumes is cheap:
 
 * an :class:`Interner` maps hashable nodes to dense integer ids;
 * during the mutable *build* phase adjacency is one append-only list
@@ -19,11 +19,10 @@ assumes is cheap:
   that lets the read-heavy close/query/lint/flow phases run on arrays
   while incremental updates stay possible.
 
-The class is API-compatible with :class:`Digraph` (nodes stay
-arbitrary hashables; ``successors``/``predecessors`` return immutable
-set-like views), so every existing consumer — the LC' engine, the
-flow framework, the lint passes, Tarjan — runs on either backend
-unchanged, and the two can be compared edge-for-edge.
+The node-level API matches :class:`Digraph` (nodes stay arbitrary
+hashables; ``successors``/``predecessors`` return immutable set-like
+views), so generic consumers — Tarjan, the propagation helpers — take
+either graph, and the property tests compare the two edge-for-edge.
 """
 
 from __future__ import annotations
@@ -123,11 +122,8 @@ _EMPTY_ROW: List[int] = []
 class CSRDigraph:
     """A directed graph over hashable nodes with a flat-array core.
 
-    Drop-in compatible with :class:`~repro.graph.digraph.Digraph`;
-    see the module docstring for the build/freeze lifecycle.
+    See the module docstring for the build/freeze lifecycle.
     """
-
-    backend = "csr"
 
     def __init__(self) -> None:
         self._interner = Interner()

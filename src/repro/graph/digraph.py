@@ -1,9 +1,12 @@
 """A compact directed graph over hashable nodes.
 
-Successor and predecessor sets are both maintained because the
-subtransitive engine's demand-driven closure rules need O(degree)
-sweeps over *incoming* edges, and the CFA-consuming applications
-(Sections 8-9) propagate annotations against edge direction.
+Every LC' graph is a :class:`~repro.graph.csr.CSRDigraph`; this
+adjacency-set graph backs the graphs the cubic baselines derive (the
+DTC closure, :func:`~repro.graph.closure.transitive_closure`,
+:func:`~repro.graph.tarjan.condensation`) and serves as the simple
+reference the CSR reachability properties are tested against.
+Successor and predecessor sets are both maintained so sweeps against
+edge direction cost O(degree).
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ class _SetView(AbstractSet):
 
 class Digraph:
     """A directed graph with O(1) amortised edge insertion and dedup."""
-
-    backend = "object"
 
     def __init__(self) -> None:
         self._succ: Dict[Node, Set[Node]] = {}
@@ -129,16 +130,6 @@ class Digraph:
         """Predecessor set of ``node`` (empty for unknown nodes)."""
         members = self._pred.get(node)
         return _EMPTY if members is None else _SetView(members)
-
-    def freeze(self) -> "Digraph":
-        """API parity with :meth:`repro.graph.csr.CSRDigraph.freeze`;
-        the object backend has no compact form, so this is a no-op."""
-        return self
-
-    @property
-    def frozen(self) -> bool:
-        """API parity with the CSR backend (always current)."""
-        return True
 
     def has_edge(self, src: Node, dst: Node) -> bool:
         return dst in self._succ.get(src, _EMPTY)

@@ -1,17 +1,16 @@
-"""Reachability on either graph backend.
+"""Reachability on either graph type.
 
 These are the O(V + E) primitives behind the paper's Algorithms 1
 and 2 ("Apply LC' to P; use graph reachability ..."). They accept
-both the object :class:`~repro.graph.digraph.Digraph` and the
-flat-array :class:`~repro.graph.csr.CSRDigraph`:
+both the LC' graph's :class:`~repro.graph.csr.CSRDigraph` and the
+adjacency-set :class:`~repro.graph.digraph.Digraph`:
 
 * with the default successor/predecessor step on a CSR graph, the
   traversal dispatches to the frozen-array walk (byte marks + int
   worklist) — the hot path of the query phase;
 * any *custom* ``follow`` callable (the polyvariant summariser's
   dom/ran extension, for instance) runs the generic BFS, which only
-  ever calls ``follow`` — so it works identically on both backends
-  and never forces a fallback to the object graph.
+  ever calls ``follow`` — so it works identically on both types.
 
 Sources are always included in the result, whether or not the graph
 contains them — an occurrence's node can be absent from the graph

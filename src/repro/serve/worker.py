@@ -163,11 +163,6 @@ def _audit_section(program, analysis) -> Dict[str, object]:
     return audit_section(program, analysis)
 
 
-#: Algorithms that build a subtransitive graph (and so take a
-#: ``graph_backend``).
-_GRAPH_ALGORITHMS = ("subtransitive", "hybrid", "polyvariant")
-
-
 def _analyze(payload: Dict[str, object]) -> Dict[str, object]:
     """Run one job; with ``profile`` set, under a span profiler bound
     in the request context, whose folded stacks ride the response."""
@@ -204,22 +199,9 @@ def _analyze_job(payload: Dict[str, object]) -> Dict[str, object]:
         program = repro.parse(payload["source"])
     status = "ok"
     fallback_reason = None
-    analyze_kwargs = {}
-    backend = options.get("graph_backend")
-    if (
-        backend
-        and backend != "object"
-        and options["algorithm"] in _GRAPH_ALGORITHMS
-    ):
-        # Backend choice never changes the envelope (the CSR core is
-        # result-identical by construction), so cached results remain
-        # valid across backends.
-        analyze_kwargs["graph_backend"] = backend
     try:
         with stage("job.analyze"):
-            analysis = repro.analyze(
-                program, algorithm=options["algorithm"], **analyze_kwargs
-            )
+            analysis = repro.analyze(program, algorithm=options["algorithm"])
     except (AnalysisBudgetExceeded, TypeInferenceError) as error:
         # Graceful degradation: the LC' attempt blew its budget (or
         # no congruence could be inferred); the cubic standard

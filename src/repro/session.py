@@ -203,19 +203,14 @@ class AnalysisSession:
         max_depth: int = 24,
         fuel: int = 1_000_000,
         registry=None,
-        graph_backend: str = "object",
     ):
         ensure_recursion_limit()
         self.program = _SessionProgram(datatypes)
-        # The backend threads through to every graph the session hands
-        # out, so incremental re-lints (:meth:`lint`) traverse the
-        # same CSR/object structure the CLI paths select.
         self.engine = LCEngine(
             self.program,  # type: ignore[arg-type]
             node_budget=node_budget,
             max_depth=max_depth,
             registry=registry,
-            graph_backend=graph_backend,
         )
         self.fuel = fuel
         #: Definition order: (name, renamed expression).

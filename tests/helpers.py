@@ -7,6 +7,13 @@ from typing import Iterable
 from repro.cfa.base import CFAResult
 from repro.lang.ast import Program
 
+#: The two legs the backend-twin tests ran as while the LC' engine had
+#: an object and a CSR graph backend (the ``backend_leg`` fixture).
+#: Every LC' graph is a ``CSRDigraph`` now, so both legs run the same
+#: engine; the leg ids stay so each test's recorded history remains
+#: comparable.
+BACKEND_LEGS = ("object", "csr")
+
 #: Small well-typed programs covering every language feature; many
 #: tests sweep over all of them.
 SAMPLE_SOURCES = {

@@ -24,14 +24,11 @@ from repro.serve.worker import _lint_section
 
 
 def cold_envelope(pa):
-    cfa = ProjectAnalysis.cold_cfa(
-        pa.render_source(), graph_backend=pa.graph_backend
-    )
-    return result_to_dict(cfa)
+    return result_to_dict(ProjectAnalysis.cold_cfa(pa.render_source()))
 
 
 def replay_of(pa):
-    fresh = ProjectAnalysis(graph_backend=pa.graph_backend)
+    fresh = ProjectAnalysis()
     for entry in pa.defs:
         fresh.define(entry.name, entry.source)
     return fresh
@@ -60,45 +57,40 @@ def check_exact(pa):
     assert json.dumps(pa.lint(), sort_keys=True) == json.dumps(
         fresh.lint(), sort_keys=True
     )
-    cold_cfa = ProjectAnalysis.cold_cfa(
-        pa.render_source(), graph_backend=pa.graph_backend
-    )
+    cold_cfa = ProjectAnalysis.cold_cfa(pa.render_source())
     cold_lint = _lint_section(cold_cfa.program, cold_cfa)
     assert json.dumps(
         strip_positions(pa.lint()), sort_keys=True
     ) == json.dumps(strip_positions(cold_lint), sort_keys=True)
 
 
-@pytest.fixture(params=["object", "csr"])
-def backend(request):
-    return request.param
-
-
+@pytest.mark.usefixtures("backend_leg")
 class TestDefineAppend:
-    def test_single_definition(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    def test_single_definition(self):
+        pa = ProjectAnalysis()
         report = pa.define("id", "fn x => x")
         assert report["delta"] is True
         assert report["version"] == 1
         check_exact(pa)
 
-    def test_chained_definitions(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    def test_chained_definitions(self):
+        pa = ProjectAnalysis()
         pa.define("id", "fn x => x")
         pa.define("use", "id (fn[l1] y => y)")
         check_exact(pa)
         assert pa.query_name("use") == {"name": "use", "labels": ["l1"]}
 
-    def test_letrec_definition(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    def test_letrec_definition(self):
+        pa = ProjectAnalysis()
         pa.define("loop", "fn[loop] x => loop x")
         assert pa.defs[0].recursive
         check_exact(pa)
 
 
+@pytest.mark.usefixtures("backend_leg")
 class TestRedefine:
-    def test_redefine_leaf(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    def test_redefine_leaf(self):
+        pa = ProjectAnalysis()
         pa.define("a", "fn p => p")
         pa.define("b", "a a")
         report = pa.define("b", "a (a a)")
@@ -106,8 +98,8 @@ class TestRedefine:
         assert report["retracted_edges"] > 0
         check_exact(pa)
 
-    def test_redefine_middle_with_self_application(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    def test_redefine_middle_with_self_application(self):
+        pa = ProjectAnalysis()
         pa.define("id", "fn x => x")
         pa.define("use", "id id")
         report = pa.define("id", "fn z => z z")
@@ -115,8 +107,8 @@ class TestRedefine:
         assert report["retracted_close_edges"] > 0
         check_exact(pa)
 
-    def test_letrec_to_let_flip(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    def test_letrec_to_let_flip(self):
+        pa = ProjectAnalysis()
         pa.define("f", "fn[f0] x => f x")
         assert pa.defs[0].recursive
         report = pa.define("f", "fn[f1] x => x")
@@ -124,10 +116,10 @@ class TestRedefine:
         assert report["delta"] is True
         check_exact(pa)
 
-    def test_same_shape_redefine_splices_without_reindex(self, backend):
+    def test_same_shape_redefine_splices_without_reindex(self):
         # Equal node counts take the in-place splice fast path; the
         # result must still be cold-exact on every surface.
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("a", "fn[a0] p => p")
         pa.define("b", "a (fn[b0] q => q)")
         program_before = pa.program
@@ -139,19 +131,19 @@ class TestRedefine:
         check_exact(pa)
         assert pa.query_name("b")["labels"] == ["b1"]
 
-    def test_same_shape_label_collision_uses_slow_path(self, backend):
+    def test_same_shape_label_collision_uses_slow_path(self):
         # Duplicating another definition's label is a genuine error;
         # the splice guard must route it to the re-indexing path,
         # which rejects it atomically.
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("a", "fn[dup] p => p")
         pa.define("b", "fn[b0] q => q")
         with pytest.raises(ScopeError, match="dup"):
             pa.define("b", "fn[dup] q => q")
         check_exact(pa)
 
-    def test_version_bumps_on_every_mutation(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    def test_version_bumps_on_every_mutation(self):
+        pa = ProjectAnalysis()
         pa.define("a", "fn x => x")
         pa.define("a", "fn y => y")
         pa.define("b", "a")
@@ -159,9 +151,10 @@ class TestRedefine:
         assert pa.version == 4
 
 
+@pytest.mark.usefixtures("backend_leg")
 class TestUndefine:
-    def test_undefine_retracts_everything(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    def test_undefine_retracts_everything(self):
+        pa = ProjectAnalysis()
         pa.define("id", "fn x => x")
         pa.define("use", "id id")
         report = pa.undefine("use")
@@ -170,8 +163,8 @@ class TestUndefine:
         assert [d.name for d in pa.defs] == ["id"]
         check_exact(pa)
 
-    def test_undefine_referenced_is_rejected_pre_mutation(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    def test_undefine_referenced_is_rejected_pre_mutation(self):
+        pa = ProjectAnalysis()
         pa.define("a", "fn x => x")
         pa.define("b", "a a")
         version = pa.version
@@ -180,13 +173,13 @@ class TestUndefine:
         assert pa.version == version
         check_exact(pa)
 
-    def test_undefine_unknown_is_rejected(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    def test_undefine_unknown_is_rejected(self):
+        pa = ProjectAnalysis()
         with pytest.raises(ScopeError, match="unknown"):
             pa.undefine("ghost")
 
-    def test_define_after_undefine_is_fresh(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    def test_define_after_undefine_is_fresh(self):
+        pa = ProjectAnalysis()
         pa.define("f", "fn[f0] x => x")
         pa.undefine("f")
         pa.define("f", "fn[f1] y => y")
@@ -195,8 +188,9 @@ class TestUndefine:
 
 
 class TestFallbacks:
-    def test_rename_shift_falls_back_exactly(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    @pytest.mark.usefixtures("backend_leg")
+    def test_rename_shift_falls_back_exactly(self):
+        pa = ProjectAnalysis()
         pa.define("a", "fn t => t")
         pa.define("b", "fn t => a t")
         # Redefining `a` to bind `t` twice shifts the fresh name the
@@ -214,14 +208,16 @@ class TestFallbacks:
             "internal-error",
         }
 
-    def test_fallback_counters_start_zeroed(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    @pytest.mark.usefixtures("backend_leg")
+    def test_fallback_counters_start_zeroed(self):
+        pa = ProjectAnalysis()
         assert pa.fallbacks == {reason: 0 for reason in FALLBACK_REASONS}
 
 
+@pytest.mark.usefixtures("backend_leg")
 class TestRenderedSource:
-    def test_rendering_parses_back_to_the_same_program(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    def test_rendering_parses_back_to_the_same_program(self):
+        pa = ProjectAnalysis()
         pa.define("id", "fn x => x")
         pa.define("use", "id (fn[l1] y => y)")
         source = pa.render_source()
@@ -229,22 +225,23 @@ class TestRenderedSource:
         assert source.endswith("()\n")
         check_exact(pa)
 
-    def test_recursive_definitions_render_as_letrec(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    def test_recursive_definitions_render_as_letrec(self):
+        pa = ProjectAnalysis()
         pa.define("loop", "fn[loop] x => loop x")
         assert "letrec loop =" in pa.render_source()
 
 
+@pytest.mark.usefixtures("backend_leg")
 class TestQueries:
-    def test_query_label(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    def test_query_label(self):
+        pa = ProjectAnalysis()
         pa.define("id", "fn[idl] x => x")
         pa.define("use", "id id")
         result = pa.query_label("idl")
         assert result["label"] == "idl"
         assert result["nids"]
 
-    def test_query_unknown_name_raises(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+    def test_query_unknown_name_raises(self):
+        pa = ProjectAnalysis()
         with pytest.raises(ScopeError):
             pa.query_name("ghost")

@@ -5,7 +5,7 @@ The tentpole contract of the live-telemetry PR (docs/DAEMON.md): a
 verb, the registry, the delta engine and the fused flow scheduler,
 and ``repro obs req`` can reassemble the whole story afterwards —
 connected (opens with ``request``, closes with ``response``) and
-time-ordered, on both graph backends.
+time-ordered.
 """
 
 import asyncio
@@ -18,11 +18,12 @@ import pytest
 from repro.daemon import DaemonClient, DaemonServer
 from repro.obs import request_chain, validate_event, validate_telemetry
 from repro.obs.live import render_prometheus, render_request
+from tests.helpers import BACKEND_LEGS
 
 
-@pytest.fixture(params=["object", "csr"])
+@pytest.fixture(params=BACKEND_LEGS)
 def endpoint(request, tmp_path):
-    """A live daemon on a temp Unix socket, one per graph backend,
+    """A live daemon on a temp Unix socket, one per backend leg,
     with the event sink on and the slow-capture threshold at zero
     (every request is "slow", so span profiles are always taken)."""
     path = str(tmp_path / "repro.sock")
@@ -36,7 +37,6 @@ def endpoint(request, tmp_path):
         asyncio.set_event_loop(loop)
         box["server"] = DaemonServer(
             socket_path=path,
-            graph_backend=request.param,
             events=EventLog(sink_path=events_path),
             slow_threshold_s=0.0,
         )

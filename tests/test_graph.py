@@ -255,43 +255,35 @@ class TestUnionFind:
                 assert uf.same(comp[0], x)
 
 
-# -- backend twins ---------------------------------------------------------
+# -- the CSR graph against its adjacency-set reference ---------------------
 
-from repro.graph import CSRDigraph, GRAPH_BACKENDS, Interner, make_graph
+from repro.graph import CSRDigraph, Interner
 
-BACKENDS = [Digraph, CSRDigraph]
+#: The LC' graph type and the adjacency-set reference it is checked
+#: against.
+GRAPH_TYPES = [Digraph, CSRDigraph]
 
 
-def build_backend(make, edges):
+def build_graph(make, edges):
     g = make()
     g.add_edges(edges)
     return g
 
 
-class TestMakeGraph:
-    def test_backends_by_flag_value(self):
-        assert isinstance(make_graph("object"), Digraph)
-        assert isinstance(make_graph("csr"), CSRDigraph)
-        assert set(GRAPH_BACKENDS) == {"object", "csr"}
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            make_graph("adjacency-matrix")
-
-
 class TestBackendContract:
-    """Behaviours the object graph and its CSR twin must share."""
+    """Behaviours the CSR graph shares with the adjacency-set
+    reference."""
 
-    @pytest.mark.parametrize("make", BACKENDS)
+    @pytest.mark.parametrize("make", GRAPH_TYPES)
     def test_neighbour_views_equal_sets(self, make):
-        g = build_backend(make, [(1, 2), (1, 3), (4, 2)])
+        g = build_graph(make, [(1, 2), (1, 3), (4, 2)])
         assert g.successors(1) == {2, 3}
         assert g.predecessors(2) == {1, 4}
         assert set(g.successors(1) | g.predecessors(2)) == {1, 2, 3, 4}
 
-    @pytest.mark.parametrize("make", BACKENDS)
+    @pytest.mark.parametrize("make", GRAPH_TYPES)
     def test_neighbour_views_refuse_mutation(self, make):
-        g = build_backend(make, [(1, 2)])
+        g = build_graph(make, [(1, 2)])
         for view in (g.successors(1), g.predecessors(2)):
             with pytest.raises(AttributeError):
                 view.add(99)
@@ -302,7 +294,7 @@ class TestBackendContract:
         assert g.predecessors(2) == {1}
         assert g.edge_count == 1
 
-    @pytest.mark.parametrize("make", BACKENDS)
+    @pytest.mark.parametrize("make", GRAPH_TYPES)
     def test_ghost_neighbourhoods_empty(self, make):
         g = make()
         assert set(g.successors("ghost")) == set()
@@ -310,7 +302,7 @@ class TestBackendContract:
         assert g.out_degree("ghost") == 0
         assert g.in_degree("ghost") == 0
 
-    @pytest.mark.parametrize("make", BACKENDS)
+    @pytest.mark.parametrize("make", GRAPH_TYPES)
     def test_add_edge_dedup_flag(self, make):
         g = make()
         assert g.add_edge("a", "b") is True
@@ -318,9 +310,9 @@ class TestBackendContract:
         assert g.edge_count == 1
         assert g.node_count == 2
 
-    @pytest.mark.parametrize("make", BACKENDS)
+    @pytest.mark.parametrize("make", GRAPH_TYPES)
     def test_reverse_and_copy(self, make):
-        g = build_backend(make, [(1, 2), (2, 3)])
+        g = build_graph(make, [(1, 2), (2, 3)])
         r = g.reverse()
         assert r.has_edge(2, 1) and r.has_edge(3, 2)
         c = g.copy()
@@ -330,8 +322,8 @@ class TestBackendContract:
     @settings(max_examples=60, deadline=None)
     @given(edges=edge_lists)
     def test_structure_agrees(self, edges):
-        obj = build_backend(Digraph, edges)
-        csr = build_backend(CSRDigraph, edges)
+        obj = build_graph(Digraph, edges)
+        csr = build_graph(CSRDigraph, edges)
         assert csr.node_count == obj.node_count
         assert csr.edge_count == obj.edge_count
         assert set(csr.nodes()) == set(obj.nodes())
@@ -344,37 +336,37 @@ class TestBackendContract:
 class TestReachesGhostNodes:
     """``reaches`` endpoint semantics: no empty path through a node
     the graph does not contain (regression tests for the ghost-node
-    sweep; both backends)."""
+    sweep; both graph types)."""
 
-    @pytest.mark.parametrize("make", BACKENDS)
+    @pytest.mark.parametrize("make", GRAPH_TYPES)
     def test_absent_src_never_reaches(self, make):
-        g = build_backend(make, [(1, 2)])
+        g = build_graph(make, [(1, 2)])
         assert not reaches(g, 99, 99)
         assert not reaches(g, 99, 1)
 
-    @pytest.mark.parametrize("make", BACKENDS)
+    @pytest.mark.parametrize("make", GRAPH_TYPES)
     def test_present_node_reaches_itself(self, make):
-        g = build_backend(make, [(1, 2)])
+        g = build_graph(make, [(1, 2)])
         assert reaches(g, 1, 1)
         assert reaches(g, 2, 2)  # present via an incoming edge only
 
-    @pytest.mark.parametrize("make", BACKENDS)
+    @pytest.mark.parametrize("make", GRAPH_TYPES)
     def test_present_src_absent_dst(self, make):
-        g = build_backend(make, [(1, 2)])
+        g = build_graph(make, [(1, 2)])
         assert not reaches(g, 1, 99)
 
-    @pytest.mark.parametrize("make", BACKENDS)
+    @pytest.mark.parametrize("make", GRAPH_TYPES)
     def test_empty_graph(self, make):
         g = make()
         assert not reaches(g, 0, 0)
 
 
 class TestCSRDigraph:
-    """The flat-array backend's own lifecycle: freeze, invalidation on
+    """The CSR graph's own lifecycle: freeze, invalidation on
     mutation, lazy rebuild."""
 
     def test_freeze_is_idempotent(self):
-        g = build_backend(CSRDigraph, [(1, 2), (2, 3)])
+        g = build_graph(CSRDigraph, [(1, 2), (2, 3)])
         assert not g.frozen
         g.freeze()
         assert g.frozen
@@ -383,7 +375,7 @@ class TestCSRDigraph:
         assert g._csr() is first
 
     def test_mutation_invalidates_frozen_form(self):
-        g = build_backend(CSRDigraph, [(1, 2)])
+        g = build_graph(CSRDigraph, [(1, 2)])
         g.freeze()
         g.add_edge(2, 3)
         assert not g.frozen
@@ -392,19 +384,19 @@ class TestCSRDigraph:
         assert g.frozen
 
     def test_duplicate_edge_keeps_frozen_form(self):
-        g = build_backend(CSRDigraph, [(1, 2)])
+        g = build_graph(CSRDigraph, [(1, 2)])
         g.freeze()
         assert g.add_edge(1, 2) is False
         assert g.frozen
 
     def test_add_node_after_freeze(self):
-        g = build_backend(CSRDigraph, [(1, 2)])
+        g = build_graph(CSRDigraph, [(1, 2)])
         g.freeze()
         g.add_node(99)
         assert reachable_from(g, [99]) == {99}
 
     def test_views_read_live_adjacency(self):
-        g = build_backend(CSRDigraph, [(1, 2)])
+        g = build_graph(CSRDigraph, [(1, 2)])
         view = g.successors(1)
         g.add_edge(1, 3)
         assert view == {2, 3}
@@ -419,14 +411,14 @@ class TestCSRDigraph:
         assert "c" in interner and len(interner) == 3
 
     def test_reaches_any_accounting(self):
-        g = build_backend(CSRDigraph, [(1, 2), (2, 3)])
+        g = build_graph(CSRDigraph, [(1, 2), (2, 3)])
         hit, visited = g.reaches_any([1], [3])
         assert hit and visited >= 1
         miss, visited = g.reaches_any([3], [1])
         assert not miss and visited >= 1
 
     def test_reaches_any_stray_endpoints(self):
-        g = build_backend(CSRDigraph, [(1, 2)])
+        g = build_graph(CSRDigraph, [(1, 2)])
         hit, _ = g.reaches_any([99], [99])
         assert hit  # a stray source trivially reaches itself
         miss, _ = g.reaches_any([99], [1])
@@ -440,15 +432,15 @@ class TestBackendReachabilityAgreement:
     @settings(max_examples=60, deadline=None)
     @given(edges=edge_lists, sources=st.lists(st.integers(0, 16), max_size=4))
     def test_reachable_from_agrees(self, edges, sources):
-        obj = build_backend(Digraph, edges)
-        csr = build_backend(CSRDigraph, edges)
+        obj = build_graph(Digraph, edges)
+        csr = build_graph(CSRDigraph, edges)
         assert reachable_from(csr, sources) == reachable_from(obj, sources)
 
     @settings(max_examples=60, deadline=None)
     @given(edges=edge_lists, targets=st.lists(st.integers(0, 16), max_size=4))
     def test_reachable_to_agrees(self, edges, targets):
-        obj = build_backend(Digraph, edges)
-        csr = build_backend(CSRDigraph, edges)
+        obj = build_graph(Digraph, edges)
+        csr = build_graph(CSRDigraph, edges)
         assert reachable_to(csr, targets) == reachable_to(obj, targets)
 
     @settings(max_examples=60, deadline=None)
@@ -458,16 +450,16 @@ class TestBackendReachabilityAgreement:
         dst=st.integers(0, 16),
     )
     def test_reaches_agrees(self, edges, src, dst):
-        obj = build_backend(Digraph, edges)
-        csr = build_backend(CSRDigraph, edges)
+        obj = build_graph(Digraph, edges)
+        csr = build_graph(CSRDigraph, edges)
         assert reaches(csr, src, dst) == reaches(obj, src, dst)
 
     @settings(max_examples=40, deadline=None)
     @given(edges=edge_lists, sources=st.lists(st.integers(0, 16), max_size=4))
     def test_custom_follow_agrees(self, edges, sources):
-        obj = build_backend(Digraph, edges)
-        csr = build_backend(CSRDigraph, edges)
-        # A custom follow forces the generic BFS on both backends.
+        obj = build_graph(Digraph, edges)
+        csr = build_graph(CSRDigraph, edges)
+        # A custom follow forces the generic BFS on both graph types.
         assert reachable_from(
             csr, sources, follow=csr.predecessors
         ) == reachable_from(obj, sources, follow=obj.predecessors)
@@ -475,8 +467,8 @@ class TestBackendReachabilityAgreement:
     @settings(max_examples=40, deadline=None)
     @given(edges=edge_lists)
     def test_tarjan_agrees(self, edges):
-        obj = build_backend(Digraph, edges)
-        csr = build_backend(CSRDigraph, edges)
+        obj = build_graph(Digraph, edges)
+        csr = build_graph(CSRDigraph, edges)
         ours = {frozenset(c) for c in strongly_connected_components(csr)}
         theirs = {frozenset(c) for c in strongly_connected_components(obj)}
         assert ours == theirs
@@ -484,16 +476,12 @@ class TestBackendReachabilityAgreement:
 
 class TestRemoveEdge:
     """Edge retraction (the incremental daemon's primitive) on both
-    backends: presence flag, count bookkeeping, surviving endpoints,
+    graph types: presence flag, count bookkeeping, surviving endpoints,
     and reachability answers matching a from-scratch rebuild."""
 
-    def backends(self):
-        from repro.graph import CSRDigraph
-
-        return [Digraph, CSRDigraph]
 
     def test_remove_present_edge(self):
-        for factory in self.backends():
+        for factory in GRAPH_TYPES:
             g = factory()
             g.add_edge(1, 2)
             assert g.remove_edge(1, 2) is True
@@ -501,7 +489,7 @@ class TestRemoveEdge:
             assert g.edge_count == 0
 
     def test_remove_absent_edge_is_a_noop(self):
-        for factory in self.backends():
+        for factory in GRAPH_TYPES:
             g = factory()
             g.add_edge(1, 2)
             assert g.remove_edge(2, 1) is False
@@ -509,7 +497,7 @@ class TestRemoveEdge:
             assert g.edge_count == 1
 
     def test_endpoints_survive_isolation(self):
-        for factory in self.backends():
+        for factory in GRAPH_TYPES:
             g = factory()
             g.add_edge(1, 2)
             g.remove_edge(1, 2)
@@ -518,7 +506,7 @@ class TestRemoveEdge:
             assert list(g.predecessors(2)) == []
 
     def test_degrees_and_readd(self):
-        for factory in self.backends():
+        for factory in GRAPH_TYPES:
             g = factory()
             g.add_edge(1, 2)
             g.add_edge(3, 2)
@@ -532,7 +520,7 @@ class TestRemoveEdge:
     @settings(max_examples=60, deadline=None)
     @given(edges=edge_lists, removals=edge_lists)
     def test_matches_rebuild_from_surviving_edges(self, edges, removals):
-        for factory in self.backends():
+        for factory in GRAPH_TYPES:
             g = factory()
             g.add_edges(edges)
             removed = set()

@@ -1,9 +1,9 @@
 """Property-based cross-implementation equivalence for the rule ports.
 
 Hypothesis drives seeded random well-typed programs (the same
-generator family the backend-equivalence suite uses) through every
+generator family the golden-envelope suite uses) through every
 ported analysis twice — hand-written traversal vs. compiled rule
-program — on both graph backends, and requires byte-identical
+program — and requires byte-identical
 results: the full serialised lint envelope for L001-L005/F001-F004,
 the red set for effects, the per-site label sets for k-limited CFA,
 and the classification tables for called-once.
@@ -25,10 +25,7 @@ from repro.rules.programs import (
 )
 from repro.workloads.generators import random_typed_program
 
-BACKENDS = ("object", "csr")
-
 seeds = st.integers(min_value=0, max_value=10_000)
-backends = st.sampled_from(BACKENDS)
 
 
 def normalised(result):
@@ -39,20 +36,20 @@ def normalised(result):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=seeds, backend=backends)
-def test_lint_twins_agree_on_random_programs(seed, backend):
+@given(seed=seeds)
+def test_lint_twins_agree_on_random_programs(seed):
     program = random_typed_program(seed, fuel=20)
-    sub = build_subtransitive_graph(program, graph_backend=backend)
+    sub = build_subtransitive_graph(program)
     hand = run_lints(program, sub, impl="hand")
     rules = run_lints(program, sub, impl="rules")
     assert normalised(hand) == normalised(rules)
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=seeds, backend=backends)
-def test_effects_twins_agree_on_random_programs(seed, backend):
+@given(seed=seeds)
+def test_effects_twins_agree_on_random_programs(seed):
     program = random_typed_program(seed, fuel=20)
-    sub = build_subtransitive_graph(program, graph_backend=backend)
+    sub = build_subtransitive_graph(program)
     hand = effects_analysis(program, sub=sub)
     rules = rules_effects_analysis(program, sub=sub)
     assert hand.red_nids == rules.red_nids
@@ -63,12 +60,11 @@ def test_effects_twins_agree_on_random_programs(seed, backend):
 @settings(max_examples=40, deadline=None)
 @given(
     seed=seeds,
-    backend=backends,
     k=st.integers(min_value=1, max_value=3),
 )
-def test_klimited_twins_agree_on_random_programs(seed, backend, k):
+def test_klimited_twins_agree_on_random_programs(seed, k):
     program = random_typed_program(seed, fuel=18)
-    sub = build_subtransitive_graph(program, graph_backend=backend)
+    sub = build_subtransitive_graph(program)
     hand = k_limited_cfa(program, k=k, sub=sub)
     rules = rules_k_limited_cfa(program, k=k, sub=sub)
     for site in program.applications:
@@ -78,10 +74,10 @@ def test_klimited_twins_agree_on_random_programs(seed, backend, k):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=seeds, backend=backends)
-def test_called_once_twins_agree_on_random_programs(seed, backend):
+@given(seed=seeds)
+def test_called_once_twins_agree_on_random_programs(seed):
     program = random_typed_program(seed, fuel=20)
-    sub = build_subtransitive_graph(program, graph_backend=backend)
+    sub = build_subtransitive_graph(program)
     hand = called_once(program, sub=sub)
     rules = rules_called_once(program, sub=sub)
     assert hand.once_labels == rules.once_labels

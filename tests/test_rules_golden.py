@@ -2,10 +2,9 @@
 
 The declarative twins of every ported lint pass (L001-L005,
 F001-F004) and the called-once app must agree with the retained
-hand-written implementations on the whole example corpus, on both
-graph backends — identical findings (the full serialised envelope,
-wall-clock and impl provenance normalised away) and identical
-classifications.
+hand-written implementations on the whole example corpus — identical
+findings (the full serialised envelope, wall-clock and impl
+provenance normalised away) and identical classifications.
 """
 
 import glob
@@ -18,6 +17,7 @@ from repro.core.lc import build_subtransitive_graph
 from repro.lang import parse
 from repro.lint import run_lints
 from repro.rules.programs import rules_called_once
+from tests.helpers import BACKEND_LEGS
 
 EXAMPLES_DIR = os.path.join(
     os.path.dirname(__file__), os.pardir, "examples"
@@ -26,8 +26,6 @@ EXAMPLE_FILES = sorted(
     glob.glob(os.path.join(EXAMPLES_DIR, "*.lam"))
 )
 EXAMPLE_IDS = [os.path.basename(path) for path in EXAMPLE_FILES]
-
-BACKENDS = ["object", "csr"]
 
 
 def load(path):
@@ -51,23 +49,20 @@ def normalised(result):
     return document
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend_leg", BACKEND_LEGS)
 @pytest.mark.parametrize("path", EXAMPLE_FILES, ids=EXAMPLE_IDS)
+@pytest.mark.usefixtures("backend_leg")
 class TestLintTwins:
-    def test_envelopes_identical(self, path, backend):
+    def test_envelopes_identical(self, path):
         program = load(path)
-        sub = build_subtransitive_graph(
-            program, graph_backend=backend
-        )
+        sub = build_subtransitive_graph(program)
         hand = run_lints(program, sub, impl="hand")
         rules = run_lints(program, sub, impl="rules")
         assert normalised(hand) == normalised(rules)
 
-    def test_called_once_identical(self, path, backend):
+    def test_called_once_identical(self, path):
         program = load(path)
-        sub = build_subtransitive_graph(
-            program, graph_backend=backend
-        )
+        sub = build_subtransitive_graph(program)
         hand = called_once(program, sub=sub)
         rules = rules_called_once(program, sub=sub)
         assert hand.once_labels == rules.once_labels

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.serve import (
 )
 
 SOURCE = "let id = fn[id] x => x in id (fn[g] y => y)"
+EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
 def envelope_for(source=SOURCE, **options):
@@ -73,12 +75,37 @@ class TestCacheKey:
         with pytest.raises(ValueError, match="unknown analysis option"):
             cache_key(SOURCE, {"algorithmn": "hybrid"})
 
-    def test_graph_backend_is_result_neutral(self):
-        # Both backends produce identical envelopes, so requests that
-        # differ only in backend must share one cache entry.
-        assert cache_key(SOURCE, {"graph_backend": "csr"}) == cache_key(
-            SOURCE, {"graph_backend": "object"}
-        )
+    def test_retired_backend_option_is_rejected(self):
+        # There is one graph representation; a client still sending
+        # the old backend selector gets a typed rejection naming it,
+        # never a silent alias onto the default key.
+        with pytest.raises(ValueError, match="graph_backend"):
+            canonical_options({"graph_backend": "csr"})
+
+    @pytest.mark.parametrize(
+        "options, digest",
+        [
+            (
+                {},
+                "b3dfdc95e8ee3e8358e97b4c02e4487b"
+                "682b90f302dbeb4a02c9a63e4d1a3c1e",
+            ),
+            (
+                {"algorithm": "subtransitive", "sanitize": True,
+                 "audit": True},
+                "4bedcb24493967ee0d4191e35924e9e2"
+                "a8d329df894a6d842517c2d7737afddd",
+            ),
+        ],
+        ids=["defaults", "subtransitive-sanitize-audit"],
+    )
+    def test_pinned_keys(self, options, digest):
+        # Digests recorded (engine version 1.1.0) while the key recipe
+        # still popped a result-neutral backend option: retiring that
+        # option must not move any key, so disk caches written before
+        # keep hitting.
+        path = EXAMPLES_DIR / "worked_example.lam"
+        assert cache_key(path.read_text(), options) == digest
 
     def test_lint_key_folds_in_the_rule_fingerprint(self):
         # A lint envelope depends on the shipped rule programs; the
