@@ -23,50 +23,23 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 reproduced tables and figures.
 """
 
-from repro.apps import (
-    called_once,
-    effects_analysis,
-    effects_analysis_baseline,
-    k_limited_cfa,
-)
-from repro.cfa import (
-    analyze_dtc,
-    analyze_equality,
-    analyze_standard,
-)
-from repro.core import (
-    analyze_hybrid,
-    analyze_polyvariant,
-    analyze_subtransitive,
-    build_subtransitive_graph,
-    make_congruence,
-)
-from repro.errors import (
-    AnalysisBudgetExceeded,
-    AnalysisError,
-    EvaluationError,
-    FuelExhausted,
-    LexError,
-    ParseError,
-    ReproError,
-    ScopeError,
-    TypeInferenceError,
-)
-from repro.lang import Program, evaluate, parse, pretty
-from repro.lint import run_lints
-from repro.session import AnalysisSession
-from repro.types import bounded_type_report, infer_types
+from __future__ import annotations
+
+import importlib
+
+from repro._util import lazy_exports
 
 __version__ = "1.1.0"
 
-#: Algorithm registry for :func:`analyze`.
+#: Algorithm registry for :func:`analyze`: each name's module defines
+#: its ``analyze_<name>`` runner, imported on first use.
 _ALGORITHMS = {
-    "subtransitive": analyze_subtransitive,
-    "standard": analyze_standard,
-    "dtc": analyze_dtc,
-    "equality": analyze_equality,
-    "hybrid": analyze_hybrid,
-    "polyvariant": analyze_polyvariant,
+    "subtransitive": "repro.core.queries",
+    "standard": "repro.cfa.standard",
+    "dtc": "repro.cfa.dtc",
+    "equality": "repro.cfa.equality",
+    "hybrid": "repro.core.hybrid",
+    "polyvariant": "repro.core.polyvariant",
 }
 
 
@@ -84,74 +57,53 @@ def analyze(program: Program, algorithm: str = "subtransitive", **kwargs):
     ``is_label_in``, ``expressions_with_label``, ``all_label_sets``).
     """
     try:
-        runner = _ALGORITHMS[algorithm]
+        module = _ALGORITHMS[algorithm]
     except KeyError:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; expected one of "
             + ", ".join(sorted(_ALGORITHMS))
         ) from None
+    runner = getattr(importlib.import_module(module), f"analyze_{algorithm}")
     return runner(program, **kwargs)
 
 
-def __getattr__(name):
-    # Lazy so `python -m repro.lint.sanitize` stays runnable without
-    # runpy's found-in-sys.modules-before-execution warning, and so
-    # importing repro never pulls in concurrent.futures machinery
-    # unless the batch service is actually used.
-    if name == "sanitize":
-        from repro.lint.sanitize import sanitize
+_EXPORTS = {
+    "AnalysisBudgetExceeded": "repro.errors",
+    "AnalysisError": "repro.errors",
+    "AnalysisSession": "repro.session",
+    "BatchResult": "repro.serve.pool",
+    "BatchRunner": "repro.serve.pool",
+    "ResultCache": "repro.serve.cache",
+    "EvaluationError": "repro.errors",
+    "FuelExhausted": "repro.errors",
+    "LexError": "repro.errors",
+    "ParseError": "repro.errors",
+    "Program": "repro.lang.ast",
+    "ReproError": "repro.errors",
+    "ScopeError": "repro.errors",
+    "TypeInferenceError": "repro.errors",
+    "analyze_dtc": "repro.cfa.dtc",
+    "analyze_equality": "repro.cfa.equality",
+    "analyze_hybrid": "repro.core.hybrid",
+    "analyze_polyvariant": "repro.core.polyvariant",
+    "analyze_standard": "repro.cfa.standard",
+    "analyze_subtransitive": "repro.core.queries",
+    "bounded_type_report": "repro.types.measure",
+    "build_subtransitive_graph": "repro.core.lc",
+    "called_once": "repro.apps.called_once",
+    # The incremental-analysis daemon (docs/DAEMON.md), as a module.
+    "daemon": "repro.daemon",
+    "effects_analysis": "repro.apps.effects",
+    "effects_analysis_baseline": "repro.apps.effects",
+    "evaluate": "repro.lang.eval",
+    "infer_types": "repro.types.infer",
+    "k_limited_cfa": "repro.apps.klimited",
+    "make_congruence": "repro.core.datatypes",
+    "parse": "repro.lang.parser",
+    "pretty": "repro.lang.printer",
+    "run_lints": "repro.lint.engine",
+    "sanitize": "repro.lint.sanitize",
+}
 
-        return sanitize
-    if name in ("BatchRunner", "BatchResult", "ResultCache"):
-        import repro.serve as serve
-
-        return getattr(serve, name)
-    if name == "daemon":
-        # The incremental-analysis daemon (docs/DAEMON.md); lazy so
-        # importing repro never pulls in asyncio machinery unless the
-        # daemon is actually used.
-        import repro.daemon as daemon
-
-        return daemon
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
-__all__ = [
-    "AnalysisBudgetExceeded",
-    "AnalysisError",
-    "AnalysisSession",
-    "BatchResult",
-    "BatchRunner",
-    "ResultCache",
-    "EvaluationError",
-    "FuelExhausted",
-    "LexError",
-    "ParseError",
-    "Program",
-    "ReproError",
-    "ScopeError",
-    "TypeInferenceError",
-    "analyze",
-    "analyze_dtc",
-    "analyze_equality",
-    "analyze_hybrid",
-    "analyze_polyvariant",
-    "analyze_standard",
-    "analyze_subtransitive",
-    "bounded_type_report",
-    "build_subtransitive_graph",
-    "called_once",
-    "daemon",
-    "effects_analysis",
-    "effects_analysis_baseline",
-    "evaluate",
-    "infer_types",
-    "k_limited_cfa",
-    "make_congruence",
-    "parse",
-    "pretty",
-    "run_lints",
-    "sanitize",
-]
+__all__ = [*_EXPORTS, "analyze"]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -18,23 +18,23 @@ on the subtransitive graph*:
   so every node changes at most k+2 times and the fixpoint is linear.
 """
 
-from repro.apps.called_once import CalledOnceResult, called_once
-from repro.apps.effects import (
-    EffectsResult,
-    effects_analysis,
-    effects_analysis_baseline,
-)
-from repro.apps.klimited import KLimitedResult, MANY, k_limited_cfa
-from repro.apps.propagation import propagate_bounded_sets
+from repro._util import lazy_exports
 
-__all__ = [
-    "CalledOnceResult",
-    "EffectsResult",
-    "KLimitedResult",
-    "MANY",
-    "called_once",
-    "effects_analysis",
-    "effects_analysis_baseline",
-    "k_limited_cfa",
-    "propagate_bounded_sets",
-]
+# Bound eagerly: the submodule of the same name would shadow a lazy
+# export the moment anything imports it (see lazy_exports).
+from repro.apps.called_once import called_once
+
+_EXPORTS = {
+    "CalledOnceResult": "repro.apps.called_once",
+    "EffectsResult": "repro.apps.effects",
+    "KLimitedResult": "repro.apps.klimited",
+    "MANY": "repro.apps.klimited",
+    "called_once": "repro.apps.called_once",
+    "effects_analysis": "repro.apps.effects",
+    "effects_analysis_baseline": "repro.apps.effects",
+    "k_limited_cfa": "repro.apps.klimited",
+    "propagate_bounded_sets": "repro.apps.propagation",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

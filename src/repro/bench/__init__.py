@@ -7,20 +7,16 @@ machine-dependent; the harness therefore also reports *work counters*
 which are the reproducible quantities.
 """
 
-from repro.bench.harness import (
-    Table,
-    fit_exponent,
-    geometric_sizes,
-    lc_row,
-    linear_fit,
-    time_call,
-)
+from repro._util import lazy_exports
 
-__all__ = [
-    "Table",
-    "fit_exponent",
-    "geometric_sizes",
-    "lc_row",
-    "linear_fit",
-    "time_call",
-]
+_EXPORTS = {
+    "Table": "repro.bench.harness",
+    "fit_exponent": "repro.bench.harness",
+    "geometric_sizes": "repro.bench.harness",
+    "lc_row": "repro.bench.harness",
+    "linear_fit": "repro.bench.harness",
+    "time_call": "repro.bench.harness",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

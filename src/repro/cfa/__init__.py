@@ -14,19 +14,19 @@ Three reference points the paper measures its contribution against:
   approach.
 """
 
-from repro.cfa.base import CFAResult, FlowKey, key_of
-from repro.cfa.dtc import DTCResult, analyze_dtc
-from repro.cfa.equality import EqualityCFAResult, analyze_equality
-from repro.cfa.standard import StandardCFAResult, analyze_standard
+from repro._util import lazy_exports
 
-__all__ = [
-    "CFAResult",
-    "DTCResult",
-    "EqualityCFAResult",
-    "FlowKey",
-    "StandardCFAResult",
-    "analyze_dtc",
-    "analyze_equality",
-    "analyze_standard",
-    "key_of",
-]
+_EXPORTS = {
+    "CFAResult": "repro.cfa.base",
+    "DTCResult": "repro.cfa.dtc",
+    "EqualityCFAResult": "repro.cfa.equality",
+    "FlowKey": "repro.cfa.base",
+    "StandardCFAResult": "repro.cfa.standard",
+    "analyze_dtc": "repro.cfa.dtc",
+    "analyze_equality": "repro.cfa.equality",
+    "analyze_standard": "repro.cfa.standard",
+    "key_of": "repro.cfa.base",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

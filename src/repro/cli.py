@@ -59,33 +59,16 @@ import json
 import sys
 from typing import List, Optional
 
-import repro
-from repro.apps import MANY, called_once, effects_analysis, k_limited_cfa
-from repro.bench import Table
 from repro.errors import ReproError
-from repro.export import (
-    envelope_provenance,
-    graph_to_dot,
-    result_to_dict,
-    result_to_json,
-)
-from repro.lang import parse, pretty
-from repro.lint import ALL_PASSES, run_lints
-from repro.lint.findings import SCHEMA as LINT_SCHEMA
-from repro.lint.sanitize import sanitize
 from repro.lint.findings import SEVERITIES
-from repro.obs import (
-    EventLog,
-    MetricsRegistry,
-    bind_request,
-    collect_metrics,
-    metrics_to_json,
-    validate_metrics,
-)
-from repro.types import bounded_type_report
+
+# Only what build_parser needs is imported above: each subcommand
+# imports its own layers, so a request loads just what it runs.
 
 
 def _read_program(path: str):
+    from repro.lang.parser import parse
+
     if path == "-":
         source = sys.stdin.read()
     else:
@@ -98,10 +81,10 @@ def _expand_cli_inputs(paths: List[str]) -> List[str]:
     """Directories contribute their ``*.lam`` members; ``-`` (stdin)
     and missing paths pass through unchanged so each subcommand keeps
     its own error reporting. Discovery itself — ordering, symlink
-    dedup — is :func:`repro.serve.jobs.expand_inputs`, the same
-    routine the batch service uses, so every entry point agrees on
-    what a corpus is."""
-    from repro.serve.jobs import expand_inputs
+    dedup — is :func:`repro._util.expand_inputs`, the same routine
+    the batch service uses, so every entry point agrees on what a
+    corpus is."""
+    from repro._util import expand_inputs
 
     return expand_inputs(paths, allow_missing=True, stdin_token="-")
 
@@ -127,6 +110,8 @@ def _traced(args):
     if not path:
         yield
         return
+    from repro.obs.events import EventLog, bind_request
+
     # A trace is one whole run: start the file afresh and never
     # rotate it, so its seq numbers run 0..N-1 without gaps.
     open(path, "w", encoding="utf-8").close()
@@ -144,6 +129,8 @@ def _traced(args):
 
 def _write_metrics(path: str, document) -> None:
     """Validate and write one ``repro.metrics/1`` document."""
+    from repro.obs.export import metrics_to_json, validate_metrics
+
     document = validate_metrics(document)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(metrics_to_json(document) + "\n")
@@ -168,6 +155,8 @@ def _sub_of(result):
 def _sanitize_result(result, path: str) -> int:
     """Run the graph sanitizer against an analysis result; returns
     the exit status contribution (0 clean, 1 otherwise)."""
+    from repro.lint.sanitize import sanitize
+
     sub = _sub_of(result)
     if sub is None:
         print(
@@ -203,6 +192,8 @@ def _audit_verdict(section) -> str:
 def _render_envelope_table(envelope) -> str:
     """The analyze call-graph table, rebuilt from a ``repro.result/1``
     envelope (what multi-file runs get back from the batch runner)."""
+    from repro.bench.harness import Table
+
     table = Table(["site", "source", "may call"])
     call_graph = envelope["call_graph"]
     for nid in sorted(call_graph, key=int):
@@ -215,7 +206,7 @@ def _render_envelope_table(envelope) -> str:
 
 def _cmd_analyze_many(args, paths: List[str]) -> int:
     """Sequential multi-file analyze via the batch runner."""
-    from repro.serve import BatchRunner
+    from repro.serve.pool import BatchRunner
 
     if args.metrics or args.trace:
         print(
@@ -269,6 +260,8 @@ def _cmd_analyze_many(args, paths: List[str]) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from repro import analyze
+
     paths = _expand_cli_inputs(args.files)
     if not paths:
         print("error: no inputs found", file=sys.stderr)
@@ -287,13 +280,15 @@ def _cmd_analyze(args) -> int:
             return 1
     status = 0
     with _traced(args):
-        cfa = repro.analyze(program, algorithm=args.algorithm)
+        cfa = analyze(program, algorithm=args.algorithm)
     audit = None
     if args.audit:
         from repro.flow.audit import audit_section
 
         audit = audit_section(program, cfa)
     if args.json:
+        from repro.export import result_to_dict, result_to_json
+
         if audit is not None:
             document = result_to_dict(cfa)
             document["audit"] = audit
@@ -301,6 +296,9 @@ def _cmd_analyze(args) -> int:
         else:
             print(result_to_json(cfa))
     else:
+        from repro.bench.harness import Table
+        from repro.lang.printer import pretty
+
         table = Table(["site", "source", "may call"])
         for site in program.applications:
             table.add_row(
@@ -321,6 +319,8 @@ def _cmd_analyze(args) -> int:
     if args.sanitize:
         status = _sanitize_result(cfa, args.file)
     if args.metrics:
+        from repro.obs.export import collect_metrics
+
         # Collected after the queries above so the document's
         # query section reflects the work this invocation did.
         _write_metrics(args.metrics, collect_metrics(cfa))
@@ -328,7 +328,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    from repro.serve import BatchRunner, expand_inputs
+    from repro._util import expand_inputs
+    from repro.bench.harness import Table
+    from repro.serve.pool import BatchRunner
     from repro.serve.protocol import to_jsonl
 
     paths = expand_inputs(args.paths)
@@ -427,6 +429,11 @@ def _print_derivations(result) -> None:
 def _cmd_lint(args) -> int:
     from repro.core.hybrid import analyze_hybrid
     from repro.core.lc import build_subtransitive_graph
+    from repro.export import envelope_provenance
+    from repro.lint.engine import run_lints
+    from repro.lint.findings import SCHEMA as LINT_SCHEMA
+    from repro.lint.passes import ALL_PASSES
+    from repro.obs.metrics import MetricsRegistry
 
     args.files = _expand_cli_inputs(args.files)
     if not args.files:
@@ -538,6 +545,8 @@ def _cmd_lint(args) -> int:
                             file=sys.stderr,
                         )
                     else:
+                        from repro.lint.sanitize import sanitize
+
                         report = sanitize(sub, registry=registry)
                         result.sanitize_report = report
                         if not report.ok:
@@ -562,6 +571,8 @@ def _cmd_lint(args) -> int:
                 else:
                     file_documents.append(result.to_dict(path))
                 if args.metrics:
+                    from repro.obs.export import collect_metrics
+
                     _write_metrics(
                         args.metrics, collect_metrics(analysis)
                     )
@@ -608,8 +619,11 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from repro import analyze
+    from repro.lang.printer import pretty
+
     program = _read_program(args.file)
-    cfa = repro.analyze(program, algorithm=args.algorithm)
+    cfa = analyze(program, algorithm=args.algorithm)
     status = 0
     if args.sanitize:
         status = _sanitize_result(cfa, args.file)
@@ -630,7 +644,10 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_effects(args) -> int:
+    from repro.apps.effects import effects_analysis
+    from repro.bench.harness import Table
     from repro.core.lc import build_subtransitive_graph
+    from repro.lang.printer import pretty
 
     program = _read_program(args.file)
     sub = build_subtransitive_graph(program)
@@ -655,7 +672,10 @@ def _cmd_effects(args) -> int:
 
 
 def _cmd_klimited(args) -> int:
+    from repro.apps.klimited import MANY, k_limited_cfa
+    from repro.bench.harness import Table
     from repro.core.lc import build_subtransitive_graph
+    from repro.lang.printer import pretty
 
     program = _read_program(args.file)
     sub = build_subtransitive_graph(program)
@@ -679,7 +699,10 @@ def _cmd_klimited(args) -> int:
 
 
 def _cmd_called_once(args) -> int:
+    from repro.apps.called_once import called_once
+    from repro.bench.harness import Table
     from repro.core.lc import build_subtransitive_graph
+    from repro.lang.printer import pretty
 
     program = _read_program(args.file)
     sub = build_subtransitive_graph(program)
@@ -705,6 +728,7 @@ def _cmd_called_once(args) -> int:
 
 
 def _cmd_rules(args) -> int:
+    from repro.bench.harness import Table
     from repro.rules import (
         GRAPH_SCHEMA,
         RuleCheckError,
@@ -771,6 +795,8 @@ def _cmd_rules(args) -> int:
 
 
 def _cmd_typecheck(args) -> int:
+    from repro.types.measure import bounded_type_report
+
     program = _read_program(args.file)
     report = bounded_type_report(program)
     print(
@@ -786,12 +812,12 @@ def _cmd_typecheck(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from repro.lang.eval import evaluate, render_value
+
     program = _read_program(args.file)
-    result = repro.evaluate(program, fuel=args.fuel)
+    result = evaluate(program, fuel=args.fuel)
     for line in result.output:
         print(line)
-    from repro.lang.eval import render_value
-
     print(f"=> {render_value(result.value)}")
     return 0
 
@@ -838,12 +864,14 @@ def _cmd_obs_diff(args) -> int:
 
 
 def _cmd_obs_flame(args) -> int:
-    from repro.obs import SpanProfiler, validate_folded
+    from repro import analyze
+    from repro.lint.engine import run_lints
+    from repro.obs import SpanProfiler, bind_request, validate_folded
 
     program = _read_program(args.file)
     profiler = SpanProfiler()
     with bind_request(profiler=profiler):
-        analysis = repro.analyze(program, algorithm=args.algorithm)
+        analysis = analyze(program, algorithm=args.algorithm)
         if args.lint:
             run_lints(program, analysis)
     lines = profiler.folded()
@@ -987,8 +1015,11 @@ def _cmd_obs_req(args) -> int:
 
 
 def _cmd_dot(args) -> int:
+    from repro import analyze
+    from repro.export import graph_to_dot
+
     program = _read_program(args.file)
-    cfa = repro.analyze(program)
+    cfa = analyze(program)
     status = 0
     if args.sanitize:
         status = _sanitize_result(cfa, args.file)

@@ -14,47 +14,29 @@
   LC' with cubic fallback), total on arbitrary programs.
 """
 
-from repro.core.datatypes import (
-    BaseTypeCongruence,
-    Congruence,
-    ExactCongruence,
-    TypeCongruence,
-    make_congruence,
-)
-from repro.core.hybrid import HybridResult, analyze_hybrid
-from repro.core.lc import (
-    LCEngine,
-    LCStatistics,
-    SubtransitiveGraph,
-    build_subtransitive_graph,
-)
-from repro.core.nodes import Node, NodeFactory
-from repro.core.polyvariant import (
-    FragmentSummary,
-    analyze_polyvariant,
-    choose_polyvariant_binders,
-    summarize_fragment,
-)
-from repro.core.queries import SubtransitiveCFA, analyze_subtransitive
+from repro._util import lazy_exports
 
-__all__ = [
-    "BaseTypeCongruence",
-    "Congruence",
-    "ExactCongruence",
-    "FragmentSummary",
-    "HybridResult",
-    "LCEngine",
-    "LCStatistics",
-    "Node",
-    "NodeFactory",
-    "SubtransitiveCFA",
-    "SubtransitiveGraph",
-    "TypeCongruence",
-    "analyze_hybrid",
-    "analyze_polyvariant",
-    "analyze_subtransitive",
-    "build_subtransitive_graph",
-    "choose_polyvariant_binders",
-    "make_congruence",
-    "summarize_fragment",
-]
+_EXPORTS = {
+    "BaseTypeCongruence": "repro.core.datatypes",
+    "Congruence": "repro.core.datatypes",
+    "ExactCongruence": "repro.core.datatypes",
+    "FragmentSummary": "repro.core.polyvariant",
+    "HybridResult": "repro.core.hybrid",
+    "LCEngine": "repro.core.lc",
+    "LCStatistics": "repro.core.lc",
+    "Node": "repro.core.nodes",
+    "NodeFactory": "repro.core.nodes",
+    "SubtransitiveCFA": "repro.core.queries",
+    "SubtransitiveGraph": "repro.core.lc",
+    "TypeCongruence": "repro.core.datatypes",
+    "analyze_hybrid": "repro.core.hybrid",
+    "analyze_polyvariant": "repro.core.polyvariant",
+    "analyze_subtransitive": "repro.core.queries",
+    "build_subtransitive_graph": "repro.core.lc",
+    "choose_polyvariant_binders": "repro.core.polyvariant",
+    "make_congruence": "repro.core.datatypes",
+    "summarize_fragment": "repro.core.polyvariant",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -19,30 +19,22 @@ Modules:
 - :mod:`repro.daemon.client` — a blocking client.
 """
 
-from repro.daemon.delta import FALLBACK_REASONS, ProjectAnalysis
-from repro.daemon.protocol import (
-    SCHEMA,
-    VERBS,
-    error_response,
-    ok_response,
-    request_record,
-    validate_daemon_record,
-)
-from repro.daemon.state import ProjectRegistry
-from repro.daemon.client import DaemonClient, DaemonError
-from repro.daemon.server import DaemonServer
+from repro._util import lazy_exports
 
-__all__ = [
-    "SCHEMA",
-    "VERBS",
-    "FALLBACK_REASONS",
-    "ProjectAnalysis",
-    "ProjectRegistry",
-    "DaemonClient",
-    "DaemonError",
-    "DaemonServer",
-    "request_record",
-    "ok_response",
-    "error_response",
-    "validate_daemon_record",
-]
+_EXPORTS = {
+    "SCHEMA": "repro.daemon.protocol",
+    "VERBS": "repro.daemon.protocol",
+    "FALLBACK_REASONS": "repro.daemon.delta",
+    "ProjectAnalysis": "repro.daemon.delta",
+    "ProjectRegistry": "repro.daemon.state",
+    "DaemonClient": "repro.daemon.client",
+    "DaemonError": "repro.daemon.client",
+    "DaemonServer": "repro.daemon.server",
+    "request_record": "repro.daemon.protocol",
+    "ok_response": "repro.daemon.protocol",
+    "error_response": "repro.daemon.protocol",
+    "validate_daemon_record": "repro.daemon.protocol",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -6,57 +6,34 @@ several passes in one sweep, and the linearity auditor that checks the
 Proposition 3/4 bounded-type preconditions before the LC' engine runs.
 """
 
-from repro.flow.analyses import (
-    ESCAPE_VALUE_TYPES,
-    BoundedSetAnalysis,
-    ConstructorAnalysis,
-    EffectsAnalysis,
-    EscapeAnalysis,
-    NeednessAnalysis,
-    ReachabilityAnalysis,
-    TaintAnalysis,
-    base_red,
-    structural_parent_rule,
-)
-from repro.flow.audit import (
-    DEFAULT_SIZE_THRESHOLD,
-    LinearityAudit,
-    audit_linearity,
-    audit_section,
-)
-from repro.flow.framework import (
-    DEFAULT_FUEL_FACTOR,
-    FlowAnalysis,
-    FlowContext,
-    MarkAnalysis,
-    run_flow,
-    run_fused,
-)
-from repro.flow.lattice import MANY, Annotation, bounded_join, bounded_seed
+from repro._util import lazy_exports
 
-__all__ = [
-    "MANY",
-    "Annotation",
-    "bounded_seed",
-    "bounded_join",
-    "FlowAnalysis",
-    "FlowContext",
-    "MarkAnalysis",
-    "run_flow",
-    "run_fused",
-    "DEFAULT_FUEL_FACTOR",
-    "BoundedSetAnalysis",
-    "ReachabilityAnalysis",
-    "EffectsAnalysis",
-    "TaintAnalysis",
-    "EscapeAnalysis",
-    "NeednessAnalysis",
-    "ConstructorAnalysis",
-    "ESCAPE_VALUE_TYPES",
-    "base_red",
-    "structural_parent_rule",
-    "LinearityAudit",
-    "audit_linearity",
-    "audit_section",
-    "DEFAULT_SIZE_THRESHOLD",
-]
+_EXPORTS = {
+    "MANY": "repro.flow.lattice",
+    "Annotation": "repro.flow.lattice",
+    "bounded_seed": "repro.flow.lattice",
+    "bounded_join": "repro.flow.lattice",
+    "FlowAnalysis": "repro.flow.framework",
+    "FlowContext": "repro.flow.framework",
+    "MarkAnalysis": "repro.flow.framework",
+    "run_flow": "repro.flow.framework",
+    "run_fused": "repro.flow.framework",
+    "DEFAULT_FUEL_FACTOR": "repro.flow.framework",
+    "BoundedSetAnalysis": "repro.flow.analyses",
+    "ReachabilityAnalysis": "repro.flow.analyses",
+    "EffectsAnalysis": "repro.flow.analyses",
+    "TaintAnalysis": "repro.flow.analyses",
+    "EscapeAnalysis": "repro.flow.analyses",
+    "NeednessAnalysis": "repro.flow.analyses",
+    "ConstructorAnalysis": "repro.flow.analyses",
+    "ESCAPE_VALUE_TYPES": "repro.flow.analyses",
+    "base_red": "repro.flow.analyses",
+    "structural_parent_rule": "repro.flow.analyses",
+    "LinearityAudit": "repro.flow.audit",
+    "audit_linearity": "repro.flow.audit",
+    "audit_section": "repro.flow.audit",
+    "DEFAULT_SIZE_THRESHOLD": "repro.flow.audit",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -10,26 +10,20 @@ transitive closure, condensation), BFS/DFS reachability, Tarjan's SCC
 algorithm, and a union-find (used by the equality-based CFA baseline).
 """
 
-from repro.graph.closure import transitive_closure
-from repro.graph.csr import CSRDigraph, Interner
-from repro.graph.digraph import Digraph
-from repro.graph.reachability import (
-    reachable_from,
-    reachable_to,
-    reaches,
-)
-from repro.graph.tarjan import condensation, strongly_connected_components
-from repro.graph.unionfind import UnionFind
+from repro._util import lazy_exports
 
-__all__ = [
-    "CSRDigraph",
-    "Digraph",
-    "Interner",
-    "UnionFind",
-    "condensation",
-    "reachable_from",
-    "reachable_to",
-    "reaches",
-    "strongly_connected_components",
-    "transitive_closure",
-]
+_EXPORTS = {
+    "CSRDigraph": "repro.graph.csr",
+    "Digraph": "repro.graph.digraph",
+    "Interner": "repro.graph.csr",
+    "UnionFind": "repro.graph.unionfind",
+    "condensation": "repro.graph.tarjan",
+    "reachable_from": "repro.graph.reachability",
+    "reachable_to": "repro.graph.reachability",
+    "reaches": "repro.graph.reachability",
+    "strongly_connected_components": "repro.graph.tarjan",
+    "transitive_closure": "repro.graph.closure",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -22,92 +22,53 @@ language end to end:
   validate the polyvariant analysis (Section 7).
 """
 
-from repro.lang.ast import (
-    App,
-    Assign,
-    Case,
-    Con,
-    DatatypeDecl,
-    Deref,
-    Expr,
-    If,
-    Lam,
-    Let,
-    Letrec,
-    Lit,
-    Prim,
-    Program,
-    Proj,
-    Record,
-    Ref,
-    Var,
-)
-from repro.lang.builders import (
-    app,
-    assign,
-    case,
-    con,
-    deref,
-    ife,
-    lam,
-    let,
-    letrec,
-    lit,
-    prim,
-    program,
-    proj,
-    record,
-    ref,
-    var,
-)
-from repro.lang.eval import EvalResult, LabelTrace, evaluate
-from repro.lang.letexpand import let_expand
-from repro.lang.parser import parse, parse_expr
-from repro.lang.printer import pretty
-from repro.lang.rename import alpha_rename, check_scopes
+from repro._util import lazy_exports
 
-__all__ = [
-    "App",
-    "Assign",
-    "Case",
-    "Con",
-    "DatatypeDecl",
-    "Deref",
-    "EvalResult",
-    "Expr",
-    "If",
-    "LabelTrace",
-    "Lam",
-    "Let",
-    "Letrec",
-    "Lit",
-    "Prim",
-    "Program",
-    "Proj",
-    "Record",
-    "Ref",
-    "Var",
-    "alpha_rename",
-    "app",
-    "assign",
-    "case",
-    "check_scopes",
-    "con",
-    "deref",
-    "evaluate",
-    "ife",
-    "lam",
-    "let",
-    "let_expand",
-    "letrec",
-    "lit",
-    "parse",
-    "parse_expr",
-    "pretty",
-    "prim",
-    "program",
-    "proj",
-    "record",
-    "ref",
-    "var",
-]
+_EXPORTS = {
+    "App": "repro.lang.ast",
+    "Assign": "repro.lang.ast",
+    "Case": "repro.lang.ast",
+    "Con": "repro.lang.ast",
+    "DatatypeDecl": "repro.lang.ast",
+    "Deref": "repro.lang.ast",
+    "EvalResult": "repro.lang.eval",
+    "Expr": "repro.lang.ast",
+    "If": "repro.lang.ast",
+    "LabelTrace": "repro.lang.eval",
+    "Lam": "repro.lang.ast",
+    "Let": "repro.lang.ast",
+    "Letrec": "repro.lang.ast",
+    "Lit": "repro.lang.ast",
+    "Prim": "repro.lang.ast",
+    "Program": "repro.lang.ast",
+    "Proj": "repro.lang.ast",
+    "Record": "repro.lang.ast",
+    "Ref": "repro.lang.ast",
+    "Var": "repro.lang.ast",
+    "alpha_rename": "repro.lang.rename",
+    "app": "repro.lang.builders",
+    "assign": "repro.lang.builders",
+    "case": "repro.lang.builders",
+    "check_scopes": "repro.lang.rename",
+    "con": "repro.lang.builders",
+    "deref": "repro.lang.builders",
+    "evaluate": "repro.lang.eval",
+    "ife": "repro.lang.builders",
+    "lam": "repro.lang.builders",
+    "let": "repro.lang.builders",
+    "let_expand": "repro.lang.letexpand",
+    "letrec": "repro.lang.builders",
+    "lit": "repro.lang.builders",
+    "parse": "repro.lang.parser",
+    "parse_expr": "repro.lang.parser",
+    "pretty": "repro.lang.printer",
+    "prim": "repro.lang.builders",
+    "program": "repro.lang.builders",
+    "proj": "repro.lang.builders",
+    "record": "repro.lang.builders",
+    "ref": "repro.lang.builders",
+    "var": "repro.lang.builders",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

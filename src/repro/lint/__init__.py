@@ -40,80 +40,40 @@ shared worklist per lint session); the T-series rules surface the
 
 :mod:`repro.lint.sanitize` is the companion invariant checker that
 validates LC' output well-formedness (closure-edge justification,
-budget accounting, and a Proposition 1 spot-check against DTC).
+budget accounting, and a Proposition 1 spot-check against DTC). It is
+not re-exported here, where its name would be both the submodule and
+its entry point; call ``repro.sanitize`` instead.
 """
 
-from repro.lint.findings import (
-    SCHEMA,
-    SEVERITIES,
-    Finding,
-    LintResult,
-    severity_at_least,
-)
-from repro.lint.engine import run_lints
-from repro.lint.passes import (
-    ALL_PASSES,
-    CORE_PASSES,
-    CalledOncePass,
-    DeadLambdaPass,
-    EscapingFunctionPass,
-    LintContext,
-    LintPass,
-    StuckApplicationPass,
-    UnusedBindingPass,
-    default_passes,
-)
-from repro.lint.flowrules import (
-    AUDIT_PASSES,
-    FLOW_PASSES,
-    EscapingRefPass,
-    FallbackForecastPass,
-    NodeBudgetPass,
-    TaintedSinkPass,
-    UnboundedTypePass,
-    UnneededParamPass,
-    UnreachableBranchPass,
-)
+from repro._util import lazy_exports
 
-def __getattr__(name):
-    # Lazy so `python -m repro.lint.sanitize` doesn't trip runpy's
-    # found-in-sys.modules-before-execution warning.
-    if name in ("SanitizeReport", "sanitize"):
-        import importlib
+_EXPORTS = {
+    "ALL_PASSES": "repro.lint.passes",
+    "AUDIT_PASSES": "repro.lint.flowrules",
+    "CORE_PASSES": "repro.lint.passes",
+    "CalledOncePass": "repro.lint.passes",
+    "DeadLambdaPass": "repro.lint.passes",
+    "EscapingFunctionPass": "repro.lint.passes",
+    "EscapingRefPass": "repro.lint.flowrules",
+    "FLOW_PASSES": "repro.lint.flowrules",
+    "FallbackForecastPass": "repro.lint.flowrules",
+    "Finding": "repro.lint.findings",
+    "LintContext": "repro.lint.passes",
+    "LintPass": "repro.lint.passes",
+    "LintResult": "repro.lint.findings",
+    "NodeBudgetPass": "repro.lint.flowrules",
+    "SCHEMA": "repro.lint.findings",
+    "SEVERITIES": "repro.lint.findings",
+    "StuckApplicationPass": "repro.lint.passes",
+    "TaintedSinkPass": "repro.lint.flowrules",
+    "UnboundedTypePass": "repro.lint.flowrules",
+    "UnneededParamPass": "repro.lint.flowrules",
+    "UnreachableBranchPass": "repro.lint.flowrules",
+    "UnusedBindingPass": "repro.lint.passes",
+    "default_passes": "repro.lint.passes",
+    "run_lints": "repro.lint.engine",
+    "severity_at_least": "repro.lint.findings",
+}
 
-        module = importlib.import_module("repro.lint.sanitize")
-        return getattr(module, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
-__all__ = [
-    "ALL_PASSES",
-    "AUDIT_PASSES",
-    "CORE_PASSES",
-    "CalledOncePass",
-    "DeadLambdaPass",
-    "EscapingFunctionPass",
-    "EscapingRefPass",
-    "FLOW_PASSES",
-    "FallbackForecastPass",
-    "Finding",
-    "LintContext",
-    "LintPass",
-    "LintResult",
-    "NodeBudgetPass",
-    "SanitizeReport",
-    "SCHEMA",
-    "SEVERITIES",
-    "StuckApplicationPass",
-    "TaintedSinkPass",
-    "UnboundedTypePass",
-    "UnneededParamPass",
-    "UnreachableBranchPass",
-    "UnusedBindingPass",
-    "default_passes",
-    "run_lints",
-    "sanitize",
-    "severity_at_least",
-]
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

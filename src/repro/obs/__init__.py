@@ -43,90 +43,50 @@ See ``docs/OBSERVABILITY.md`` for the schema reference and CLI usage
 ``repro obs diff|flame|top|waterfall``).
 """
 
-from repro.obs.baseline import (
-    DIFF_SCHEMA,
-    diff_documents,
-    diff_exit_code,
-    environment_provenance,
-    render_diff,
-    validate_diff,
-)
-from repro.obs.events import (
-    ENGINE_EVENT_KINDS,
-    EVENT_KINDS,
-    EVENTS_SCHEMA,
-    EventLog,
-    RequestContext,
-    bind_request,
-    current_request,
-    emit_event,
-    new_request_id,
-    read_event_log,
-    validate_event,
-    validate_telemetry,
-)
-from repro.obs.export import (
-    SCHEMA,
-    collect_metrics,
-    metrics_to_json,
-    validate_metrics,
-    validate_registry_snapshot,
-)
-from repro.obs.live import (
-    render_live_top,
-    render_prometheus,
-    render_request,
-    request_chain,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, Timer
-from repro.obs.profile import Span, SpanProfiler, validate_folded
-from repro.obs.tracetools import (
-    demand_waterfall,
-    node_hotspots,
-    provenance_check,
-    read_events,
-    rule_hotspots,
-)
+from repro._util import lazy_exports
 
-__all__ = [
-    "Counter",
-    "DIFF_SCHEMA",
-    "ENGINE_EVENT_KINDS",
-    "EVENTS_SCHEMA",
-    "EVENT_KINDS",
-    "EventLog",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "RequestContext",
-    "SCHEMA",
-    "Span",
-    "SpanProfiler",
-    "Timer",
-    "bind_request",
-    "collect_metrics",
-    "current_request",
-    "demand_waterfall",
-    "diff_documents",
-    "diff_exit_code",
-    "emit_event",
-    "environment_provenance",
-    "metrics_to_json",
-    "new_request_id",
-    "node_hotspots",
-    "provenance_check",
-    "read_event_log",
-    "read_events",
-    "render_diff",
-    "render_live_top",
-    "render_prometheus",
-    "render_request",
-    "request_chain",
-    "rule_hotspots",
-    "validate_diff",
-    "validate_event",
-    "validate_folded",
-    "validate_metrics",
-    "validate_registry_snapshot",
-    "validate_telemetry",
-]
+_EXPORTS = {
+    "Counter": "repro.obs.metrics",
+    "DIFF_SCHEMA": "repro.obs.baseline",
+    "ENGINE_EVENT_KINDS": "repro.obs.events",
+    "EVENTS_SCHEMA": "repro.obs.events",
+    "EVENT_KINDS": "repro.obs.events",
+    "EventLog": "repro.obs.events",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "RequestContext": "repro.obs.events",
+    "SCHEMA": "repro.obs.export",
+    "Span": "repro.obs.profile",
+    "SpanProfiler": "repro.obs.profile",
+    "Timer": "repro.obs.metrics",
+    "bind_request": "repro.obs.events",
+    "collect_metrics": "repro.obs.export",
+    "current_request": "repro.obs.events",
+    "demand_waterfall": "repro.obs.tracetools",
+    "diff_documents": "repro.obs.baseline",
+    "diff_exit_code": "repro.obs.baseline",
+    "emit_event": "repro.obs.events",
+    "environment_provenance": "repro.obs.baseline",
+    "metrics_to_json": "repro.obs.export",
+    "new_request_id": "repro.obs.events",
+    "node_hotspots": "repro.obs.tracetools",
+    "provenance_check": "repro.obs.tracetools",
+    "read_event_log": "repro.obs.events",
+    "read_events": "repro.obs.tracetools",
+    "render_diff": "repro.obs.baseline",
+    "render_live_top": "repro.obs.live",
+    "render_prometheus": "repro.obs.live",
+    "render_request": "repro.obs.live",
+    "request_chain": "repro.obs.live",
+    "rule_hotspots": "repro.obs.tracetools",
+    "validate_diff": "repro.obs.baseline",
+    "validate_event": "repro.obs.events",
+    "validate_folded": "repro.obs.profile",
+    "validate_metrics": "repro.obs.export",
+    "validate_registry_snapshot": "repro.obs.export",
+    "validate_telemetry": "repro.obs.events",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

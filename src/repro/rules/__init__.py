@@ -10,81 +10,43 @@ reference evaluator (:mod:`~repro.rules.naive`) the property tests
 hold the compiler to. See ``docs/RULES.md``.
 """
 
-from repro.rules.check import (
-    CheckedRules,
-    LinearityVerdict,
-    RelationPlan,
-    RuleCheckError,
-    check_programs,
-    check_rules,
-    merge_programs,
-)
-from repro.rules.dsl import (
-    Atom,
-    Rel,
-    Rule,
-    RuleProgram,
-    RuleSyntaxError,
-    Var,
-    fingerprint,
-    make_vars,
-)
-from repro.rules.engine import (
-    CompiledRuleSet,
-    RuleCompileError,
-    RuleEvaluation,
-    compile_programs,
-)
-from repro.rules.naive import evaluate_naive, naive_fixpoint
-from repro.rules.programs import (
-    CALLED_ONCE_PROGRAM,
-    L002_PROGRAM,
-    L004_PROGRAM,
-    SHIPPED_PROGRAMS,
-    called_once_rule_set,
-    lint_rule_set,
-    rules_called_once,
-    shipped_fingerprint,
-)
-from repro.rules.schema import (
-    DictFactSource,
-    FactSource,
-    GRAPH_SCHEMA,
-    GraphFactSource,
-)
+from repro._util import lazy_exports
 
-__all__ = [
-    "Atom",
-    "CALLED_ONCE_PROGRAM",
-    "CheckedRules",
-    "CompiledRuleSet",
-    "DictFactSource",
-    "FactSource",
-    "GRAPH_SCHEMA",
-    "GraphFactSource",
-    "L002_PROGRAM",
-    "L004_PROGRAM",
-    "LinearityVerdict",
-    "Rel",
-    "RelationPlan",
-    "Rule",
-    "RuleCheckError",
-    "RuleCompileError",
-    "RuleEvaluation",
-    "RuleProgram",
-    "RuleSyntaxError",
-    "SHIPPED_PROGRAMS",
-    "Var",
-    "called_once_rule_set",
-    "check_programs",
-    "check_rules",
-    "compile_programs",
-    "evaluate_naive",
-    "fingerprint",
-    "lint_rule_set",
-    "make_vars",
-    "merge_programs",
-    "naive_fixpoint",
-    "rules_called_once",
-    "shipped_fingerprint",
-]
+_EXPORTS = {
+    "Atom": "repro.rules.dsl",
+    "CALLED_ONCE_PROGRAM": "repro.rules.programs",
+    "CheckedRules": "repro.rules.check",
+    "CompiledRuleSet": "repro.rules.engine",
+    "DictFactSource": "repro.rules.schema",
+    "FactSource": "repro.rules.schema",
+    "GRAPH_SCHEMA": "repro.rules.schema",
+    "GraphFactSource": "repro.rules.schema",
+    "L002_PROGRAM": "repro.rules.programs",
+    "L004_PROGRAM": "repro.rules.programs",
+    "LinearityVerdict": "repro.rules.check",
+    "Rel": "repro.rules.dsl",
+    "RelationPlan": "repro.rules.check",
+    "Rule": "repro.rules.dsl",
+    "RuleCheckError": "repro.rules.check",
+    "RuleCompileError": "repro.rules.engine",
+    "RuleEvaluation": "repro.rules.engine",
+    "RuleProgram": "repro.rules.dsl",
+    "RuleSyntaxError": "repro.rules.dsl",
+    "SHIPPED_PROGRAMS": "repro.rules.programs",
+    "Var": "repro.rules.dsl",
+    "called_once_rule_set": "repro.rules.programs",
+    "check_programs": "repro.rules.check",
+    "check_rules": "repro.rules.check",
+    "compile_programs": "repro.rules.engine",
+    "evaluate_naive": "repro.rules.naive",
+    "fingerprint": "repro.rules.dsl",
+    "lint_rule_set": "repro.rules.programs",
+    "make_vars": "repro.rules.dsl",
+    "merge_programs": "repro.rules.check",
+    "naive_fixpoint": "repro.rules.naive",
+    "rules_called_once": "repro.rules.programs",
+    "shipped_fingerprint": "repro.rules.programs",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -20,57 +20,33 @@ See docs/SERVICE.md for the full protocol and failure taxonomy, and
 ``repro batch --help`` for the CLI entry point.
 """
 
-from repro.serve.cache import (
-    DEFAULT_OPTIONS,
-    ResultCache,
-    cache_key,
-    canonical_options,
-    engine_version,
-    normalize_source,
-)
-from repro.serve.jobs import (
-    FAILED_STATUSES,
-    STATUSES,
-    Job,
-    JobResult,
-    expand_inputs,
-    jobs_from_paths,
-    jobs_from_sources,
-)
-from repro.serve.pool import BatchResult, BatchRunner
-from repro.serve.protocol import (
-    SCHEMA,
-    batch_header,
-    batch_summary,
-    job_record,
-    read_jsonl,
-    to_jsonl,
-    validate_batch_record,
-)
-from repro.serve.worker import run_job
+from repro._util import lazy_exports
 
-__all__ = [
-    "BatchResult",
-    "BatchRunner",
-    "DEFAULT_OPTIONS",
-    "FAILED_STATUSES",
-    "Job",
-    "JobResult",
-    "ResultCache",
-    "SCHEMA",
-    "STATUSES",
-    "batch_header",
-    "batch_summary",
-    "cache_key",
-    "canonical_options",
-    "engine_version",
-    "expand_inputs",
-    "job_record",
-    "jobs_from_paths",
-    "jobs_from_sources",
-    "normalize_source",
-    "read_jsonl",
-    "run_job",
-    "to_jsonl",
-    "validate_batch_record",
-]
+_EXPORTS = {
+    "BatchResult": "repro.serve.pool",
+    "BatchRunner": "repro.serve.pool",
+    "DEFAULT_OPTIONS": "repro.serve.cache",
+    "FAILED_STATUSES": "repro.serve.jobs",
+    "Job": "repro.serve.jobs",
+    "JobResult": "repro.serve.jobs",
+    "ResultCache": "repro.serve.cache",
+    "SCHEMA": "repro.serve.protocol",
+    "STATUSES": "repro.serve.jobs",
+    "batch_header": "repro.serve.protocol",
+    "batch_summary": "repro.serve.protocol",
+    "cache_key": "repro.serve.cache",
+    "canonical_options": "repro.serve.cache",
+    "engine_version": "repro.serve.cache",
+    "expand_inputs": "repro._util",
+    "job_record": "repro.serve.protocol",
+    "jobs_from_paths": "repro.serve.jobs",
+    "jobs_from_sources": "repro.serve.jobs",
+    "normalize_source": "repro.serve.cache",
+    "read_jsonl": "repro.serve.protocol",
+    "run_job": "repro.serve.worker",
+    "to_jsonl": "repro.serve.protocol",
+    "validate_batch_record": "repro.serve.protocol",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

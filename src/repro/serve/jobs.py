@@ -19,17 +19,18 @@ the four-way status taxonomy:
     The job exceeded its wall-clock budget and the degraded re-run
     (if enabled) did too.
 
-:func:`expand_inputs` turns a mix of files and directories into the
-flat, sorted corpus the CLI subcommands share (directories contribute
-their ``*.lam`` files).
+:func:`expand_inputs` (defined in :mod:`repro._util`, re-exported
+here) turns a mix of files and directories into the flat, sorted
+corpus the CLI subcommands share (directories contribute their
+``*.lam`` files).
 """
 
 from __future__ import annotations
 
-import glob
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+from repro._util import expand_inputs  # noqa: F401 - re-export
 
 STATUS_OK = "ok"
 STATUS_DEGRADED = "degraded"
@@ -41,9 +42,6 @@ STATUSES = (STATUS_OK, STATUS_DEGRADED, STATUS_ERROR, STATUS_TIMEOUT)
 
 #: Statuses that fail a batch (and flip the CLI exit code to 1).
 FAILED_STATUSES = (STATUS_ERROR, STATUS_TIMEOUT)
-
-#: Glob pattern a directory input expands to.
-INPUT_PATTERN = "*.lam"
 
 
 @dataclass
@@ -86,58 +84,6 @@ class JobResult:
     def ok(self) -> bool:
         """Did the batch produce a usable result for this job?"""
         return self.status not in FAILED_STATUSES
-
-
-def expand_inputs(
-    paths: Sequence[str],
-    pattern: str = INPUT_PATTERN,
-    allow_missing: bool = False,
-    stdin_token: Optional[str] = None,
-) -> List[str]:
-    """Flatten files and directories into an ordered corpus.
-
-    This is the single discovery routine every entry point shares (the
-    ``analyze``/``lint``/``batch`` CLI subcommands and the batch
-    service), so all of them agree on ordering, deduplication, and
-    symlink handling:
-
-    * files are kept as given (input order preserved); each directory
-      contributes its ``pattern`` matches in sorted order;
-    * duplicates are dropped by *identity*, not spelling — two paths
-      (or a symlink and its target) naming the same file via
-      ``os.path.realpath`` count once, under the first spelling seen;
-    * ``stdin_token`` (e.g. ``"-"``) passes through verbatim, exempt
-      from existence checks and dedup-by-realpath;
-    * a missing path raises :class:`FileNotFoundError` up front — a
-      batch should fail loudly on a typo, not run a truncated corpus —
-      unless ``allow_missing`` is set, in which case it passes through
-      for the caller to report per-file.
-    """
-    out: List[str] = []
-    seen = set()
-
-    def add(path: str) -> None:
-        identity = os.path.realpath(path)
-        if identity not in seen:
-            seen.add(identity)
-            out.append(path)
-
-    for path in paths:
-        if stdin_token is not None and path == stdin_token:
-            if path not in out:
-                out.append(path)
-        elif os.path.isdir(path):
-            for match in sorted(glob.glob(os.path.join(path, pattern))):
-                add(match)
-        elif os.path.isfile(path):
-            add(path)
-        elif allow_missing:
-            add(path)
-        else:
-            raise FileNotFoundError(
-                f"no such file or directory: {path!r}"
-            )
-    return out
 
 
 def jobs_from_paths(

@@ -29,6 +29,35 @@ import threading
 import time
 from typing import Dict, Optional
 
+# Every engine layer a job crosses is imported here, at module level,
+# with the modules those layers import lazily on a job's path: the
+# pool imports this module, so fork-started workers inherit them and
+# no job's clock pays for an import.
+import repro.apps.called_once  # noqa: F401 - L003's pass
+import repro.cfa.dtc  # noqa: F401 - the sanitizer's Proposition 1 check
+import repro.flow.analyses  # noqa: F401 - the fused lint sweep
+import repro.lang.rename  # noqa: F401 - Program construction
+import repro.types.measure  # noqa: F401 - the LC' depth cap
+from repro import analyze
+from repro._util import ensure_recursion_limit
+from repro.cfa.standard import analyze_standard
+from repro.core.hybrid import HybridResult
+from repro.core.lc import SubtransitiveGraph
+from repro.core.queries import SubtransitiveCFA
+from repro.errors import (
+    AnalysisBudgetExceeded,
+    ReproError,
+    TypeInferenceError,
+)
+from repro.export import result_fingerprint, result_to_dict
+from repro.flow.audit import audit_section
+from repro.lang.parser import parse
+from repro.lint.engine import run_lints
+from repro.lint.sanitize import sanitize
+from repro.obs.events import bind_request, current_request
+from repro.obs.events import span as stage
+from repro.obs.profile import SpanProfiler
+
 
 class WorkerTimeout(Exception):
     """Raised by the SIGALRM handler when a job's clock runs out."""
@@ -96,10 +125,6 @@ def _apply_faults(fault: Dict[str, object]) -> None:
 
 def _sub_of(analysis):
     """The SubtransitiveGraph inside an analysis result, or None."""
-    from repro.core.hybrid import HybridResult
-    from repro.core.lc import SubtransitiveGraph
-    from repro.core.queries import SubtransitiveCFA
-
     if isinstance(analysis, HybridResult):
         analysis = analysis.result
     if isinstance(analysis, SubtransitiveCFA):
@@ -116,9 +141,6 @@ def _lint_section(program, analysis) -> Dict[str, object]:
     must be byte-stable for equal inputs, and wall-clock numbers never
     are. Findings keep their full structure including ``via``.
     """
-    from repro.core.hybrid import HybridResult
-    from repro.lint import run_lints
-
     if _sub_of(analysis) is None and not isinstance(analysis, HybridResult):
         # A bare standard/cubic result (requested explicitly, or the
         # timeout-degrade re-run): route it through the lint driver's
@@ -140,8 +162,6 @@ def _sanitize_section(analysis) -> Optional[Dict[str, object]]:
     """Run the graph sanitizer, envelope-shaped (no timings); ``None``
     when there is no subtransitive graph to check (standard-engine
     results)."""
-    from repro.lint.sanitize import sanitize
-
     sub = _sub_of(analysis)
     if sub is None:
         return None
@@ -158,8 +178,6 @@ def _audit_section(program, analysis) -> Dict[str, object]:
     """The linearity-audit section: predicted LC' budget (Proposition
     3/4 preconditions) next to the actual graph growth. Deterministic
     for equal inputs, so it is safe inside the cached envelope."""
-    from repro.flow.audit import audit_section
-
     return audit_section(program, analysis)
 
 
@@ -168,9 +186,6 @@ def _analyze(payload: Dict[str, object]) -> Dict[str, object]:
     in the request context, whose folded stacks ride the response."""
     if not payload.get("profile"):
         return _analyze_job(payload)
-    from repro.obs.events import bind_request, current_request
-    from repro.obs.profile import SpanProfiler
-
     outer = current_request()
     profiler = SpanProfiler()
     with bind_request(
@@ -188,26 +203,18 @@ def _analyze(payload: Dict[str, object]) -> Dict[str, object]:
 
 
 def _analyze_job(payload: Dict[str, object]) -> Dict[str, object]:
-    import repro
-    from repro.core.hybrid import HybridResult
-    from repro.errors import AnalysisBudgetExceeded, TypeInferenceError
-    from repro.export import result_fingerprint, result_to_dict
-    from repro.obs.events import span as stage
-
     options: Dict[str, object] = payload["options"]
     with stage("job.parse"):
-        program = repro.parse(payload["source"])
+        program = parse(payload["source"])
     status = "ok"
     fallback_reason = None
     try:
         with stage("job.analyze"):
-            analysis = repro.analyze(program, algorithm=options["algorithm"])
+            analysis = analyze(program, algorithm=options["algorithm"])
     except (AnalysisBudgetExceeded, TypeInferenceError) as error:
         # Graceful degradation: the LC' attempt blew its budget (or
         # no congruence could be inferred); the cubic standard
         # algorithm is total, so the job completes — tagged.
-        from repro.cfa.standard import analyze_standard
-
         fallback_reason = (
             "budget"
             if isinstance(error, AnalysisBudgetExceeded)
@@ -251,9 +258,6 @@ def _analyze_job(payload: Dict[str, object]) -> Dict[str, object]:
 
 def run_job(payload: Dict[str, object]) -> Dict[str, object]:
     """Analyse one job payload; never raises (see module docstring)."""
-    from repro._util import ensure_recursion_limit
-    from repro.errors import ReproError
-
     ensure_recursion_limit()
     start = time.perf_counter()
     timeout = payload.get("timeout")

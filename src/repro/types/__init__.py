@@ -18,55 +18,37 @@ inference (algorithm W with generalisation levels);
 the ``P_k`` classification.
 """
 
-from repro.types.infer import InferenceResult, infer_types
-from repro.types.measure import (
-    arity_of,
-    bounded_type_report,
-    is_bounded_type,
-    order_of,
-    type_size,
-)
-from repro.types.types import (
-    BOOL,
-    INT,
-    STRING,
-    TCon,
-    TData,
-    TFun,
-    TRecord,
-    TRef,
-    TScheme,
-    TVar,
-    Type,
-    UNIT,
-    free_type_vars,
-    occurs_in,
-    prune,
-)
+from repro._util import lazy_exports
+
+# Bound eagerly: the submodule of the same name would shadow a lazy
+# export the moment anything imports it (see lazy_exports).
 from repro.types.unify import unify
 
-__all__ = [
-    "BOOL",
-    "INT",
-    "STRING",
-    "InferenceResult",
-    "TCon",
-    "TData",
-    "TFun",
-    "TRecord",
-    "TRef",
-    "TScheme",
-    "TVar",
-    "Type",
-    "UNIT",
-    "arity_of",
-    "bounded_type_report",
-    "free_type_vars",
-    "infer_types",
-    "is_bounded_type",
-    "occurs_in",
-    "order_of",
-    "prune",
-    "type_size",
-    "unify",
-]
+_EXPORTS = {
+    "BOOL": "repro.types.types",
+    "INT": "repro.types.types",
+    "STRING": "repro.types.types",
+    "InferenceResult": "repro.types.infer",
+    "TCon": "repro.types.types",
+    "TData": "repro.types.types",
+    "TFun": "repro.types.types",
+    "TRecord": "repro.types.types",
+    "TRef": "repro.types.types",
+    "TScheme": "repro.types.types",
+    "TVar": "repro.types.types",
+    "Type": "repro.types.types",
+    "UNIT": "repro.types.types",
+    "arity_of": "repro.types.measure",
+    "bounded_type_report": "repro.types.measure",
+    "free_type_vars": "repro.types.types",
+    "infer_types": "repro.types.infer",
+    "is_bounded_type": "repro.types.measure",
+    "occurs_in": "repro.types.types",
+    "order_of": "repro.types.measure",
+    "prune": "repro.types.types",
+    "type_size": "repro.types.measure",
+    "unify": "repro.types.unify",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -12,26 +12,19 @@
   the property-based tests.
 """
 
-from repro.workloads.church import church_numeral, make_church_program
-from repro.workloads.cubic import make_cubic_program, make_cubic_source
-from repro.workloads.generators import (
-    make_joinpoint_program,
-    random_typed_program,
-)
-from repro.workloads.synthetic import (
-    make_lexgen_like,
-    make_life_like,
-    make_synthetic_program,
-)
+from repro._util import lazy_exports
 
-__all__ = [
-    "church_numeral",
-    "make_church_program",
-    "make_cubic_program",
-    "make_cubic_source",
-    "make_joinpoint_program",
-    "make_lexgen_like",
-    "make_life_like",
-    "make_synthetic_program",
-    "random_typed_program",
-]
+_EXPORTS = {
+    "church_numeral": "repro.workloads.church",
+    "make_church_program": "repro.workloads.church",
+    "make_cubic_program": "repro.workloads.cubic",
+    "make_cubic_source": "repro.workloads.cubic",
+    "make_joinpoint_program": "repro.workloads.generators",
+    "make_lexgen_like": "repro.workloads.synthetic",
+    "make_life_like": "repro.workloads.synthetic",
+    "make_synthetic_program": "repro.workloads.synthetic",
+    "random_typed_program": "repro.workloads.generators",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
 from typing import Iterable
 
 from repro.cfa.base import CFAResult
 from repro.lang.ast import Program
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLE = ROOT / "examples" / "worked_example.lam"
 
 #: The two legs the backend-twin tests ran as while the LC' engine had
 #: an object and a CSR graph backend (the ``backend_leg`` fixture).
@@ -92,3 +99,20 @@ def assert_label_subset(
             f"{context}: node #{node.nid} ({type(node).__name__}): "
             f"{sorted(a)} not within {sorted(b)}"
         )
+
+
+def run_python(*args: str, timeout: float = 120):
+    """Run a fresh interpreter on this checkout's ``src``, from the
+    repository root, capturing text output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+        cwd=ROOT,
+    )
