@@ -11,7 +11,12 @@ an editor session would:
   what every keystroke costs without the daemon;
 * **warm**: redefining one leaf binding (``x_n``) through the delta
   engine, envelope-equivalent to the cold run by construction
-  (enforced in tests/test_daemon_delta.py).
+  (enforced in tests/test_daemon_delta.py);
+* **replay**: the daemon's full rebuild of the same project (what a
+  ``rename-shift`` fallback or an evicted project's rehydration
+  costs): one rename pass, one index, one build-then-close.
+  ``replay/cold`` compares it with the cold run; it is reported only,
+  with no wall-clock assertion.
 
 The claim: warm cost tracks the *delta's* neighbourhood, not the
 program, so the speedup grows with n while retraction counts stay
@@ -57,6 +62,8 @@ def run_report(sizes=SIZES):
             "cold t",
             "warm t",
             "speedup",
+            "replay t",
+            "replay/cold",
             "retracted",
             "fallbacks",
         ],
@@ -66,9 +73,13 @@ def run_report(sizes=SIZES):
     for n in sizes:
         pa = warm_project(n)
         source = pa.render_source()
+        history = [(entry.name, entry.source) for entry in pa.defs]
 
         cold_time = time_call(
             lambda: ProjectAnalysis.cold_cfa(source), repeat=3
+        )
+        replay_time = time_call(
+            lambda: ProjectAnalysis().rehydrate(history), repeat=3
         )
 
         target = f"x{n}"
@@ -89,6 +100,8 @@ def run_report(sizes=SIZES):
             cold_time,
             warm_time,
             f"{speedup:.1f}x",
+            replay_time,
+            f"{replay_time / cold_time:.2f}x",
             last["retracted_edges"],
             fallbacks,
         )
@@ -100,6 +113,8 @@ def run_report(sizes=SIZES):
                 "cold_time": cold_time,
                 "warm_time": warm_time,
                 "speedup": speedup,
+                "replay_time": replay_time,
+                "replay_over_cold": replay_time / cold_time,
                 "retracted_edges": last["retracted_edges"],
                 "retracted_close_edges": last["retracted_close_edges"],
                 "fallbacks": fallbacks,
@@ -144,5 +159,6 @@ if __name__ == "__main__":
     print(
         f"n={last['n']}: warm {last['warm_time']:.6f}s vs "
         f"cold {last['cold_time']:.6f}s — {last['speedup']:.1f}x, "
-        f"{last['retracted_edges']} edges retracted"
+        f"{last['retracted_edges']} edges retracted; full replay "
+        f"{last['replay_time']:.6f}s ({last['replay_over_cold']:.2f}x cold)"
     )

@@ -368,10 +368,6 @@ class LCEngine:
         self.stats.close_edges = (
             self.graph.edge_count - self.stats.build_edges
         )
-        # Compact the mutable adjacency before the read-heavy query/
-        # lint/flow phases (later incremental mutation invalidates and
-        # rebuilds lazily).
-        self.graph.freeze()
         self._export_gauges()
         if trace is not None:
             trace(

@@ -200,7 +200,7 @@ class SubtransitiveCFA(CFAResult):
         return frozenset(labels)
 
     def _tokens_at(self, starts: List[Node]) -> Set[ValueToken]:
-        """Algorithm 2 on the flat arrays: byte-mark reachability,
+        """Algorithm 2 on the flat rows: byte-mark reachability,
         then one pass over the precomputed token index — no node-set
         materialisation."""
         graph = self.graph

@@ -234,20 +234,22 @@ class ProjectAnalysis:
     ) -> None:
         self.node_budget = node_budget
         self.max_depth = max_depth
-        self.defs: List[DefEntry] = []
         #: Monotonic graph version; bumps on every applied mutation.
         self.version = 0
         #: Per-reason fallback counts (all zero on the pure delta path).
         self.fallbacks: Dict[str, int] = {r: 0 for r in FALLBACK_REASONS}
-        self._fresh_state()
+        self._fresh_state([], Lit(None))
         self._renumber_lines()
 
     # -- state plumbing ----------------------------------------------------
 
-    def _fresh_state(self) -> None:
+    def _fresh_state(self, defs: List[DefEntry], terminal: Lit) -> None:
+        """Install an already-linked chain with a fresh engine and an
+        empty graph (one :class:`Program` index for the whole chain)."""
+        self.defs = defs
         #: The shared chain terminator (the program's final ``()``).
-        self.terminal = Lit(None)
-        self.program = Program(self.terminal, rename=False)
+        self.terminal = terminal
+        self.program = self._index_chain()
         self.engine = LCEngine(
             self.program,
             congruence=None,
@@ -326,6 +328,26 @@ class ProjectAnalysis:
             fresh = renamer.fresh(name)
         return fresh, bound, renamer.consumed, recursive
 
+    def _new_entry(
+        self,
+        name: str,
+        source: str,
+        raw: Expr,
+        env: Dict[str, str],
+        pool: Set[str],
+        body: Expr,
+    ) -> DefEntry:
+        """Rename one definition at its chain slot and wrap it in a
+        spine node continuing with ``body``."""
+        fresh, bound, consumed, recursive = self._rename_def(
+            name, raw, env, pool
+        )
+        cls = Letrec if recursive else Let
+        spine = cls(fresh, bound, body)
+        return DefEntry(
+            name, fresh, source, raw, bound, spine, recursive, consumed
+        )
+
     def _replay_matches(self, pool: Set[str], start: int) -> bool:
         """Would later definitions re-rename to the same fresh names
         against ``pool``? (The no-``rename-shift`` proof.)"""
@@ -373,9 +395,8 @@ class ProjectAnalysis:
             offset += 4 + entry.nlines
         self.terminal.line, self.terminal.column = offset + 1, 1
 
-    def _reindex(self) -> None:
-        """Re-run :class:`Program` indexing over the current chain and
-        re-key the factory's expression interning to the new nids.
+    def _index_chain(self) -> Program:
+        """Run :class:`Program` indexing over the current chain.
 
         Auto labels are cleared first so allocation replays the cold
         parse's preorder walk (same labels, same nids, same tables)."""
@@ -383,7 +404,12 @@ class ProjectAnalysis:
             for lam in entry.auto_lams:
                 lam.label = None
         root = self.defs[0].spine if self.defs else self.terminal
-        program = Program(root, rename=False)
+        return Program(root, rename=False)
+
+    def _reindex(self) -> None:
+        """Re-index the current chain and re-key the factory's
+        expression interning to the new nids."""
+        program = self._index_chain()
         self._rekey(program)
         self.program = program
         self.engine.program = program
@@ -792,16 +818,29 @@ class ProjectAnalysis:
     # -- replay fallback -----------------------------------------------------
 
     def _replay(self, specs: List[Tuple[str, str, Expr]]) -> None:
-        """Rebuild the warm state from scratch by re-appending every
-        definition (fresh engine, no retired garbage). Restores the
-        previous state object-for-object on failure."""
+        """Rebuild the warm state from scratch in one pass (fresh
+        engine, no retired garbage): rename every definition in chain
+        order, threading one renamer environment and name pool exactly
+        as a cold parse does, link the spines, index the chain once and
+        build-then-close it once — the cost of ``cold_cfa``. Restores
+        the previous state object-for-object on failure."""
         saved = self._snapshot()
-        self.defs = []
-        self._fresh_state()
         try:
             with _span("delta.replay"):
+                terminal = Lit(None)
+                env: Dict[str, str] = {}
+                pool: Set[str] = set()
+                defs: List[DefEntry] = []
                 for name, source, raw in specs:
-                    self._append(name, source, raw)
+                    entry = self._new_entry(
+                        name, source, raw, env, pool, terminal
+                    )
+                    env[name] = entry.fresh
+                    if defs:
+                        defs[-1].spine.body = entry.spine
+                    defs.append(entry)
+                self._fresh_state(defs, terminal)
+                self._apply_delta(retracted=[], inserted=defs)
             self._renumber_lines()
         except Exception:
             self._restore(saved)
@@ -863,6 +902,16 @@ class ProjectAnalysis:
             "undefine", name, pre_specs, retracted=[entry], inserted=[]
         )
 
+    def rehydrate(self, history: List[Tuple[str, str]]) -> None:
+        """Rebuild the project from ``(name, source)`` definitions in
+        chain order (an evicted project's snapshot) with one replay
+        pass. The result equals defining each in turn, but the chain is
+        indexed and closed once; no per-definition report or ``delta``
+        event is produced and no fallback is counted."""
+        self._replay(
+            [(name, source, parse_expr(source)) for name, source in history]
+        )
+
     # -- mutation internals ---------------------------------------------------
 
     def _guarded_append(
@@ -878,18 +927,13 @@ class ProjectAnalysis:
     def _splice_append(self, name: str, source: str, raw: Expr) -> DefEntry:
         """Validate, rename and splice a new trailing definition.
         Raises (state unchanged) on scope/label errors."""
-        env = self._env(len(self.defs))
-        pool = self._pool(len(self.defs))
-        fresh, bound, consumed, recursive = self._rename_def(
-            name, raw, env, pool
-        )
-        cls = Letrec if recursive else Let
-        spine = cls(fresh, bound, self.terminal)
-        entry = DefEntry(
-            name, fresh, source, raw, bound, spine, recursive, consumed
+        count = len(self.defs)
+        entry = self._new_entry(
+            name, source, raw, self._env(count), self._pool(count),
+            self.terminal,
         )
         if self.defs:
-            self.defs[-1].spine.body = spine
+            self.defs[-1].spine.body = entry.spine
         self.defs.append(entry)
         try:
             self._reindex()
@@ -900,11 +944,6 @@ class ProjectAnalysis:
             self._reindex()
             raise
         return entry
-
-    def _append(self, name: str, source: str, raw: Expr) -> None:
-        """Unguarded append (replay path: budget errors propagate)."""
-        entry = self._splice_append(name, source, raw)
-        self._apply_delta(retracted=[], inserted=[entry])
 
     def _redefine(
         self, index: int, name: str, source: str, raw: Expr

@@ -6,8 +6,9 @@ guarded by a per-project :class:`asyncio.Lock` (requests for the same
 project serialise; different projects interleave freely on the event
 loop). The registry keeps at most ``capacity`` warm graphs: the least
 recently used project is evicted down to its definition sources and
-transparently **rehydrated** (replayed cold) on next touch — so
-eviction trades latency, never state.
+transparently **rehydrated** on next touch by one single-pass replay
+of its definitions (:meth:`ProjectAnalysis.rehydrate`) — so eviction
+trades latency, never state.
 
 Everything the registry does is counted under ``daemon.*`` in the
 shared :class:`~repro.obs.metrics.MetricsRegistry` the server
@@ -87,8 +88,7 @@ class ProjectRegistry:
             emit_event("registry", component="registry",
                        action="rehydrate", project=name,
                        definitions=len(history))
-            for def_name, source in history:
-                state.analysis.define(def_name, source)
+            state.analysis.rehydrate(history)
         else:
             self._c_created.inc()
             emit_event("registry", component="registry",

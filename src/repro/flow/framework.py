@@ -212,10 +212,9 @@ class FlowAnalysis:
         The engine only acts on the declaration for boolean mark
         analyses (identity transfer, or-join, set finish), where the
         fixpoint is literally multi-source reachability and runs as a
-        bitset BFS over the graph's frozen CSR arrays
-        — with step/update/fuel accounting identical to the generic
-        worklist, so metrics and results do not depend on the path
-        taken."""
+        bitset BFS over the graph's int adjacency rows — with
+        step/update/fuel accounting identical to the generic worklist,
+        so metrics and results do not depend on the path taken."""
         return None
 
 
@@ -362,21 +361,20 @@ def _flat_plan(analysis, ctx, seed_map) -> Optional[str]:
 
 def _flat_mark_sweep(graph, seed_map, direction):
     """Run one boolean mark analysis as multi-source reachability on
-    the frozen CSR arrays. Returns ``(values, steps, updates)`` with
-    the exact numbers the generic worklist would have produced: each
-    marked item is dequeued once there, so steps is the sum of marked
-    out-degrees (in the flow direction) and updates counts the marked
-    non-seeds."""
+    the graph's int adjacency rows. Returns ``(values, steps,
+    updates)`` with the exact numbers the generic worklist would have
+    produced: each marked item is dequeued once there, so steps is the
+    sum of marked out-degrees (in the flow direction) and updates
+    counts the marked non-seeds."""
     if direction == "seeds-only":
         return dict(seed_map), 0, 0
     reverse = direction == "predecessors"
     start_ids, extras = graph._start_ids(seed_map)
     _, order = graph._reached_ids(start_ids, reverse=reverse)
-    soff, _, poff, _ = graph._csr()
-    off = poff if reverse else soff
+    rows = graph._pred if reverse else graph._succ
     steps = 0
     for v in order:
-        steps += off[v + 1] - off[v]
+        steps += len(rows[v])
     marked = dict.fromkeys(
         map(graph._interner.values.__getitem__, order), True
     )
@@ -390,8 +388,8 @@ def _fixpoint(analyses, ctx, fuel):
     :func:`run_fused`: chaotic iteration over ``(slot, item)`` pairs,
     one fuel unit per edge propagation. Eligible boolean mark analyses
     (see :meth:`FlowAnalysis.flat_direction`) peel off into bitset
-    sweeps over the CSR arrays first; everything else shares the
-    generic worklist."""
+    sweeps over the int adjacency rows first; everything else shares
+    the generic worklist."""
     values: List[Dict[Item, Any]] = [dict() for _ in analyses]
     queue = deque()
     queued = set()

@@ -1,23 +1,22 @@
-"""The LC' graph representation: interned ids + CSR adjacency.
+"""The LC' graph representation: interned ids + int adjacency rows.
 
 One Python ``set`` per node and direction (the adjacency-set
 :class:`~repro.graph.digraph.Digraph`) pays hashing and
 pointer-chasing costs on every sweep. Every subtransitive graph
-instead uses the classic compressed-sparse-row layout the paper's
-linear-time bound assumes is cheap:
+instead keeps the flat, id-indexed layout the paper's linear-time
+bound assumes is cheap:
 
 * an :class:`Interner` maps hashable nodes to dense integer ids;
-* during the mutable *build* phase adjacency is one append-only list
-  of int ids per node and direction, with edge dedup through a set of
-  packed ``(src << 32) | dst`` ints — no per-edge tuple allocation;
-* :meth:`CSRDigraph.freeze` compacts both directions into
-  ``array('i')`` offset/target pairs (the CSR proper), over which the
-  reachability primitives run byte-per-node visited marks
-  (``bytearray``) and an int worklist instead of node sets;
-* any later mutation invalidates the compact form, which is rebuilt
-  lazily on the next frozen-path query — the freeze/rebuild lifecycle
-  that lets the read-heavy close/query/lint/flow phases run on arrays
-  while incremental updates stay possible.
+* adjacency is one list of int ids per node and direction, with edge
+  dedup through a set of packed ``(src << 32) | dst`` ints — no
+  per-edge tuple allocation;
+* the reachability primitives walk those live rows with byte-per-node
+  visited marks (``bytearray``) and an int worklist instead of node
+  sets.
+
+The build, close, query, lint and flow phases and the daemon's
+incremental edits all share these rows: a mutation is visible to the
+very next query with nothing to rebuild.
 
 The node-level API matches :class:`Digraph` (nodes stay arbitrary
 hashables; ``successors``/``predecessors`` return immutable set-like
@@ -27,7 +26,6 @@ either graph, and the property tests compare the two edge-for-edge.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Set as AbstractSet
 from typing import (
     Dict,
@@ -51,7 +49,7 @@ class Interner:
 
     Ids are allocated in first-seen order and never reused, so they
     double as indexes into :attr:`values` and into every per-node
-    array a :class:`CSRDigraph` maintains.
+    row a :class:`CSRDigraph` maintains.
     """
 
     __slots__ = ("_ids", "values")
@@ -122,19 +120,17 @@ _EMPTY_ROW: List[int] = []
 class CSRDigraph:
     """A directed graph over hashable nodes with a flat-array core.
 
-    See the module docstring for the build/freeze lifecycle.
+    See the module docstring for the layout.
     """
 
     def __init__(self) -> None:
         self._interner = Interner()
-        #: Append-only per-id adjacency (dedup via ``_edges``).
+        #: Per-id adjacency rows (dedup via ``_edges``).
         self._succ: List[List[int]] = []
         self._pred: List[List[int]] = []
         #: Packed ``(src << _SHIFT) | dst`` ints, one per edge.
         self._edges: set = set()
         self._edge_count = 0
-        #: ``(soff, stgt, poff, ptgt)`` arrays, or None when stale.
-        self._frozen: Optional[Tuple[array, array, array, array]] = None
 
     # -- construction -----------------------------------------------------
 
@@ -143,7 +139,6 @@ class CSRDigraph:
         if idx == len(self._succ):
             self._succ.append([])
             self._pred.append([])
-            self._frozen = None
         return idx
 
     def add_node(self, node: Node) -> None:
@@ -179,7 +174,6 @@ class CSRDigraph:
         succ[s].append(d)
         self._pred[d].append(s)
         self._edge_count += 1
-        self._frozen = None
         return True
 
     def add_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
@@ -189,7 +183,7 @@ class CSRDigraph:
     def remove_edge(self, src: Node, dst: Node) -> bool:
         """Remove edge ``src -> dst``; returns True if it was present.
 
-        The adjacency rows are append-only lists, so removal is an
+        The adjacency rows are unsorted int lists, so removal is an
         O(degree) scan; the incremental daemon only retracts edges
         justified by a retracted definition, so the scans stay
         proportional to the delta's neighbourhood, not the graph.
@@ -210,36 +204,7 @@ class CSRDigraph:
         self._succ[s].remove(d)
         self._pred[d].remove(s)
         self._edge_count -= 1
-        self._frozen = None
         return True
-
-    # -- freeze/rebuild ----------------------------------------------------
-
-    def freeze(self) -> "CSRDigraph":
-        """Compact the adjacency into CSR arrays (idempotent).
-
-        Called by the LC' engine once the close phase reaches its
-        fixpoint; any later :meth:`add_edge`/:meth:`add_node` marks
-        the compact form stale and the next frozen-path query rebuilds
-        it, so incremental updates never see stale arrays.
-        """
-        self._csr()
-        return self
-
-    @property
-    def frozen(self) -> bool:
-        """Whether the compact CSR form is current."""
-        return self._frozen is not None
-
-    def _csr(self) -> Tuple[array, array, array, array]:
-        frozen = self._frozen
-        if frozen is None:
-            frozen = (
-                *_compact(self._succ),
-                *_compact(self._pred),
-            )
-            self._frozen = frozen
-        return frozen
 
     # -- inspection --------------------------------------------------------
 
@@ -323,7 +288,7 @@ class CSRDigraph:
         """Split ``sources`` into interned ids and *extras* — source
         nodes the graph has never seen. Reachability includes its
         sources by contract, so extras are reached (trivially, by
-        themselves) even though no array position exists for them."""
+        themselves) even though no row exists for them."""
         ids = self._interner._ids
         start_ids: List[int] = []
         extras: List[Node] = []
@@ -339,15 +304,11 @@ class CSRDigraph:
         self, start_ids: List[int], reverse: bool = False
     ) -> Tuple[bytearray, List[int]]:
         """``(seen, order)`` for the ids reachable from ``start_ids``
-        (inclusive): byte marks over the frozen CSR arrays and the int
-        worklist itself (every reached id, in visit order) — no node
-        objects, no hashing."""
-        soff, stgt, poff, ptgt = self._csr()
-        if reverse:
-            off, tgt = poff, ptgt
-        else:
-            off, tgt = soff, stgt
-        seen = bytearray(len(self._succ))
+        (inclusive): byte marks over the live adjacency rows and the
+        int worklist itself (every reached id, in visit order) — no
+        node objects, no hashing."""
+        rows = self._pred if reverse else self._succ
+        seen = bytearray(len(rows))
         order: List[int] = []
         append = order.append
         for s in start_ids:
@@ -358,7 +319,7 @@ class CSRDigraph:
         # appending to it visits the appended tail (CPython semantics),
         # which is exactly a BFS frontier without a cursor.
         for v in order:
-            for w in tgt[off[v]:off[v + 1]]:
+            for w in rows[v]:
                 if not seen[w]:
                     seen[w] = 1
                     append(w)
@@ -387,13 +348,13 @@ class CSRDigraph:
         d = ids.get(dst)
         if d is None:
             return False
-        soff, stgt, _, _ = self._csr()
-        seen = bytearray(len(self._succ))
+        rows = self._succ
+        seen = bytearray(len(rows))
         seen[s] = 1
         order = [s]
         append = order.append
         for v in order:
-            for w in stgt[soff[v]:soff[v + 1]]:
+            for w in rows[v]:
                 if w == d:
                     return True
                 if not seen[w]:
@@ -422,8 +383,8 @@ class CSRDigraph:
             strays = set(stray_targets)
             if any(extra in strays for extra in extras):
                 return True, len(extras)
-        soff, stgt, _, _ = self._csr()
-        seen = bytearray(len(self._succ))
+        rows = self._succ
+        seen = bytearray(len(rows))
         order: List[int] = []
         append = order.append
         for s in start_ids:
@@ -435,30 +396,14 @@ class CSRDigraph:
             visited += 1
             if v in target_ids:
                 return True, visited + len(extras)
-            for w in stgt[soff[v]:soff[v + 1]]:
+            for w in rows[v]:
                 if not seen[w]:
                     seen[w] = 1
                     append(w)
         return False, len(order) + len(extras)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "frozen" if self.frozen else "mutable"
         return (
             f"<CSRDigraph nodes={self.node_count} "
-            f"edges={self.edge_count} {state}>"
+            f"edges={self.edge_count}>"
         )
-
-
-def _compact(adjacency: List[List[int]]) -> Tuple[array, array]:
-    """One direction's CSR pair: ``offsets`` (n+1 entries) and the
-    concatenated ``targets``."""
-    offsets = array("l", [0])
-    targets = array("i")
-    append_offset = offsets.append
-    extend_targets = targets.extend
-    total = 0
-    for row in adjacency:
-        extend_targets(row)
-        total += len(row)
-        append_offset(total)
-    return offsets, targets

@@ -6,8 +6,8 @@ both the LC' graph's :class:`~repro.graph.csr.CSRDigraph` and the
 adjacency-set :class:`~repro.graph.digraph.Digraph`:
 
 * with the default successor/predecessor step on a CSR graph, the
-  traversal dispatches to the frozen-array walk (byte marks + int
-  worklist) — the hot path of the query phase;
+  traversal dispatches to the flat walk over the int adjacency rows
+  (byte marks + int worklist) — the hot path of the query phase;
 * any *custom* ``follow`` callable (the polyvariant summariser's
   dom/ran extension, for instance) runs the generic BFS, which only
   ever calls ``follow`` — so it works identically on both types.

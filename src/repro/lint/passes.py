@@ -228,11 +228,14 @@ class LintContext:
     @property
     def linearity_audit(self):
         """The :class:`repro.flow.audit.LinearityAudit` shared by the
-        T-series rules (one type-inference run per lint session)."""
+        T-series rules. Reuses the analysis's own type inference when
+        it ran one, so a lint session infers types at most once."""
         if self._audit is None:
             from repro.flow.audit import audit_linearity
 
-            self._audit = audit_linearity(self.program)
+            self._audit = audit_linearity(
+                self.program, inference=self.factory.inference
+            )
         return self._audit
 
 

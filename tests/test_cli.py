@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from tests.helpers import EXAMPLE
 
 DEMO = "let id = fn[id] x => x in id (fn[g] y => y)"
 EFFECTS = "let f = fn[noisy] x => print x in f 1"
@@ -208,6 +209,23 @@ class TestLint:
         # id is called once; g is never called.
         assert "L003" in out and "'id'" in out
         assert "L001" in out and "'g'" in out
+
+    def test_one_lint_infers_types_once(self, monkeypatch, capsys):
+        # The T-series audit reuses the hybrid analysis's inference
+        # instead of typing the program a second time.
+        from repro.types.infer import InferenceResult
+
+        created = []
+        init = InferenceResult.__init__
+
+        def counting_init(result, *args, **kwargs):
+            created.append(result)
+            init(result, *args, **kwargs)
+
+        monkeypatch.setattr(InferenceResult, "__init__", counting_init)
+        main(["lint", str(EXAMPLE)])
+        capsys.readouterr()
+        assert len(created) == 1
 
     def test_severity_filter_can_clean_the_run(self, demo_file, capsys):
         assert main(["lint", demo_file, "--severity", "error"]) == 0

@@ -20,6 +20,7 @@ import pytest
 from repro.daemon import FALLBACK_REASONS, ProjectAnalysis
 from repro.errors import ScopeError
 from repro.export import result_to_dict
+from repro.lang.ast import Program
 from repro.serve.worker import _lint_section
 
 
@@ -200,6 +201,47 @@ class TestFallbacks:
         assert report["delta_fallback_reason"] == "rename-shift"
         assert pa.fallbacks["rename-shift"] == 1
         check_exact(pa)
+
+    def test_replay_indexes_the_chain_once(self, monkeypatch):
+        # A forced replay renames every definition, then indexes and
+        # closes the chain once — not once per definition.
+        pa = ProjectAnalysis()
+        pa.define("a", "fn t => t")
+        for i in range(12):
+            pa.define(f"b{i}", "fn t => a t")
+        calls = []
+        index = Program._index
+
+        def counting_index(program):
+            calls.append(program)
+            return index(program)
+
+        monkeypatch.setattr(Program, "_index", counting_index)
+        report = pa.define("a", "fn t => fn t => t")
+        monkeypatch.undo()
+        assert report["mode"] == "replay"
+        assert len(calls) == 1
+        check_exact(pa)
+
+    def test_rehydrate_equals_defining_in_order(self):
+        history = [
+            ("id", "fn x => x"),
+            ("loop", "fn[loop] n => loop n"),
+            ("use", "id (fn[l1] y => y)"),
+        ]
+        defined = ProjectAnalysis()
+        for name, source in history:
+            defined.define(name, source)
+        rehydrated = ProjectAnalysis()
+        rehydrated.rehydrate(history)
+        assert rehydrated.render_source() == defined.render_source()
+        assert json.dumps(rehydrated.envelope(), sort_keys=True) == (
+            json.dumps(defined.envelope(), sort_keys=True)
+        )
+        assert json.dumps(rehydrated.lint(), sort_keys=True) == (
+            json.dumps(defined.lint(), sort_keys=True)
+        )
+        check_exact(rehydrated)
 
     def test_node_budget_fallback_reason_is_known(self):
         assert set(FALLBACK_REASONS) == {

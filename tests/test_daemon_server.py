@@ -14,6 +14,7 @@ from repro.daemon import (
     ProjectRegistry,
 )
 from repro.daemon.protocol import request_record
+from repro.obs.events import EventLog, bind_request
 
 
 def dispatch(server, record) -> dict:
@@ -107,15 +108,30 @@ class TestDispatch:
 class TestRegistry:
     def test_lru_eviction_and_rehydration(self):
         registry = ProjectRegistry(capacity=2)
-        registry.get("a").analysis.define("x", "fn[xa] v => v")
+        analysis = registry.get("a").analysis
+        analysis.define("x", "fn[xa] v => v")
+        analysis.define("id", "fn y => y")
+        analysis.define("use", "id (x (fn[u] w => w))")
+        before = json.dumps(analysis.envelope(), sort_keys=True)
         registry.get("b")
-        registry.get("c")  # evicts a
+        log = EventLog()
+        with bind_request(log=log):
+            registry.get("c")  # evicts a
         status = registry.status()
         assert [p["project"] for p in status["warm"]] == ["b", "c"]
         assert status["cold"] == ["a"]
-        # Touching a again rehydrates its definitions by replay.
-        state = registry.get("a")
+        # Touching a again rehydrates its definitions in one replay
+        # pass: the same envelope, and no per-definition delta events.
+        with bind_request(log=log):
+            state = registry.get("a")
         assert state.analysis.query_name("x")["labels"] == ["xa"]
+        assert json.dumps(state.analysis.envelope(), sort_keys=True) == before
+        assert log.events(kind="delta") == []
+        actions = [e["action"] for e in log.events(kind="registry")]
+        assert actions == ["create", "evict", "rehydrate", "evict"]
+        assert state.analysis.fallbacks == dict.fromkeys(
+            state.analysis.fallbacks, 0
+        )
         counters = registry.registry.snapshot()["counters"]
         assert counters["daemon.projects.evictions"] >= 2
         assert counters["daemon.projects.rehydrations"] == 1

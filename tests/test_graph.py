@@ -362,38 +362,32 @@ class TestReachesGhostNodes:
 
 
 class TestCSRDigraph:
-    """The CSR graph's own lifecycle: freeze, invalidation on
-    mutation, lazy rebuild."""
+    """The CSR graph has one mutable form: queries walk the live
+    adjacency rows, so every mutation is seen by the next query."""
 
-    def test_freeze_is_idempotent(self):
-        g = build_graph(CSRDigraph, [(1, 2), (2, 3)])
-        assert not g.frozen
-        g.freeze()
-        assert g.frozen
-        first = g._csr()
-        g.freeze()
-        assert g._csr() is first
-
-    def test_mutation_invalidates_frozen_form(self):
+    def test_mutation_after_query_is_seen(self):
         g = build_graph(CSRDigraph, [(1, 2)])
-        g.freeze()
+        assert reachable_from(g, [1]) == {1, 2}
         g.add_edge(2, 3)
-        assert not g.frozen
-        # The next frozen-path query rebuilds and sees the new edge.
         assert reachable_from(g, [1]) == {1, 2, 3}
-        assert g.frozen
+        assert reaches(g, 1, 3)
+        g.remove_edge(1, 2)
+        assert reachable_from(g, [1]) == {1}
+        assert reachable_to(g, [3]) == {2, 3}
 
-    def test_duplicate_edge_keeps_frozen_form(self):
+    def test_duplicate_edge_after_query_changes_nothing(self):
         g = build_graph(CSRDigraph, [(1, 2)])
-        g.freeze()
+        assert reachable_from(g, [1]) == {1, 2}
         assert g.add_edge(1, 2) is False
-        assert g.frozen
+        assert g.edge_count == 1
+        assert reachable_from(g, [1]) == {1, 2}
 
-    def test_add_node_after_freeze(self):
+    def test_add_node_after_query_is_reachable(self):
         g = build_graph(CSRDigraph, [(1, 2)])
-        g.freeze()
+        assert reachable_from(g, [1]) == {1, 2}
         g.add_node(99)
         assert reachable_from(g, [99]) == {99}
+        assert g.reaches_any([99], [99]) == (True, 1)
 
     def test_views_read_live_adjacency(self):
         g = build_graph(CSRDigraph, [(1, 2)])
